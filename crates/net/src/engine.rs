@@ -1,6 +1,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::topology::Neighbors;
 use crate::NodeId;
 
 /// A node-local protocol driven by a simulation engine.
@@ -35,12 +36,16 @@ pub trait Protocol {
 
 /// The per-callback view a protocol gets of its node and the network.
 ///
-/// Provides the node id, its static neighbor list, a deterministic RNG, the
-/// current round, and the only way to communicate: [`Context::send`].
+/// Provides the node id, its static neighbor view, a deterministic RNG,
+/// the current round, and the only way to communicate: [`Context::send`].
+///
+/// The neighbor view is a [`Neighbors`] borrowed from the topology; on
+/// the implicit complete graph every neighbor operation here (send check,
+/// round-robin and random selection) is O(1) and touches no memory.
 #[derive(Debug)]
 pub struct Context<'a, M> {
     node: NodeId,
-    neighbors: &'a [NodeId],
+    neighbors: Neighbors<'a>,
     // Liveness view for neighbor selection (perfect failure detector).
     // `None` means no fault information is available.
     alive: Option<&'a [bool]>,
@@ -53,12 +58,17 @@ pub struct Context<'a, M> {
 impl<'a, M> Context<'a, M> {
     pub(crate) fn new(
         node: NodeId,
-        neighbors: &'a [NodeId],
+        neighbors: Neighbors<'a>,
         rr_cursor: &'a mut usize,
         rng: &'a mut StdRng,
         outbox: &'a mut Vec<(NodeId, M)>,
         round: u64,
     ) -> Self {
+        // `send` binary-searches explicit lists.
+        debug_assert!(
+            neighbors.is_strictly_ascending(),
+            "neighbor view of node {node} is not strictly ascending"
+        );
         Context {
             node,
             neighbors,
@@ -84,8 +94,8 @@ impl<'a, M> Context<'a, M> {
         self.node
     }
 
-    /// This node's static out-neighbor list.
-    pub fn neighbors(&self) -> &[NodeId] {
+    /// This node's static out-neighbors, in ascending id order.
+    pub fn neighbors(&self) -> Neighbors<'a> {
         self.neighbors
     }
 
@@ -107,7 +117,7 @@ impl<'a, M> Context<'a, M> {
     /// model only permits communication along topology edges.
     pub fn send(&mut self, to: NodeId, msg: M) {
         assert!(
-            self.neighbors.contains(&to),
+            self.neighbors.contains(to),
             "node {} tried to send to non-neighbor {}",
             self.node,
             to
@@ -131,7 +141,7 @@ impl<'a, M> Context<'a, M> {
         assert!(!self.neighbors.is_empty(), "node has no neighbors");
         let len = self.neighbors.len();
         for _ in 0..len {
-            let pick = self.neighbors[*self.rr_cursor % len];
+            let pick = self.neighbors.get(*self.rr_cursor % len);
             *self.rr_cursor = (*self.rr_cursor + 1) % len;
             if self.is_live(pick) {
                 return pick;
@@ -139,7 +149,7 @@ impl<'a, M> Context<'a, M> {
         }
         // Every neighbor has crashed; return the current cursor position —
         // the message will be dropped, which is all that can happen.
-        self.neighbors[*self.rr_cursor % len]
+        self.neighbors.get(*self.rr_cursor % len)
     }
 
     /// Returns a uniformly random neighbor (gossip-style push target),
@@ -153,37 +163,47 @@ impl<'a, M> Context<'a, M> {
     /// Panics if the node has no neighbors.
     pub fn random_neighbor(&mut self) -> NodeId {
         assert!(!self.neighbors.is_empty(), "node has no neighbors");
+        let len = self.neighbors.len();
         // Rejection-sample a few times, then fall back to an exact scan of
-        // the live neighbors (only reached when most neighbors are dead).
+        // the live neighbors (only reached when most neighbors are dead):
+        // count them, draw an index, and walk to that live neighbor.
         for _ in 0..8 {
-            let pick = self.neighbors[self.rng.gen_range(0..self.neighbors.len())];
+            let pick = self.neighbors.get(self.rng.gen_range(0..len));
             if self.is_live(pick) {
                 return pick;
             }
         }
-        let live: Vec<NodeId> = self
-            .neighbors
-            .iter()
-            .copied()
-            .filter(|&n| self.is_live(n))
-            .collect();
-        if live.is_empty() {
-            return self.neighbors[self.rng.gen_range(0..self.neighbors.len())];
+        let live = self.neighbors.iter().filter(|&n| self.is_live(n)).count();
+        if live == 0 {
+            return self.neighbors.get(self.rng.gen_range(0..len));
         }
-        live[self.rng.gen_range(0..live.len())]
+        let k = self.rng.gen_range(0..live);
+        self.neighbors
+            .iter()
+            .filter(|&n| self.is_live(n))
+            .nth(k)
+            .expect("k is below the live count")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Topology;
     use rand::SeedableRng;
 
     fn with_ctx<R>(neighbors: &[NodeId], f: impl FnOnce(&mut Context<'_, u32>) -> R) -> R {
         let mut cursor = 0usize;
         let mut rng = StdRng::seed_from_u64(1);
         let mut outbox: Vec<(NodeId, u32)> = Vec::new();
-        let mut ctx = Context::new(0, neighbors, &mut cursor, &mut rng, &mut outbox, 3);
+        let mut ctx = Context::new(
+            0,
+            Neighbors::list(neighbors),
+            &mut cursor,
+            &mut rng,
+            &mut outbox,
+            3,
+        );
         f(&mut ctx)
     }
 
@@ -204,7 +224,14 @@ mod tests {
         let mut outbox: Vec<(NodeId, u32)> = Vec::new();
         let mut picks = Vec::new();
         for _ in 0..6 {
-            let mut ctx = Context::new(0, &neighbors, &mut cursor, &mut rng, &mut outbox, 0);
+            let mut ctx = Context::new(
+                0,
+                Neighbors::list(&neighbors),
+                &mut cursor,
+                &mut rng,
+                &mut outbox,
+                0,
+            );
             picks.push(ctx.round_robin_neighbor());
         }
         assert_eq!(picks, vec![1, 2, 3, 1, 2, 3]);
@@ -220,6 +247,55 @@ mod tests {
         });
     }
 
+    /// Picks 20 round-robin and then 40 random neighbors of `node`
+    /// through `view`, under a fixed seed and liveness mask.
+    fn selection_sequence(view: Neighbors<'_>, node: NodeId, alive: &[bool]) -> Vec<NodeId> {
+        let mut cursor = 3usize;
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut outbox: Vec<(NodeId, u32)> = Vec::new();
+        let mut ctx =
+            Context::new(node, view, &mut cursor, &mut rng, &mut outbox, 0).with_alive(alive);
+        let mut picks: Vec<NodeId> = (0..20).map(|_| ctx.round_robin_neighbor()).collect();
+        picks.extend((0..40).map(|_| ctx.random_neighbor()));
+        picks
+    }
+
+    #[test]
+    fn implicit_and_list_views_select_identically() {
+        let n = 9;
+        let topo = Topology::complete(n);
+        // All live; most dead (forces the counting fallback of
+        // `random_neighbor`); all dead.
+        let masks = [
+            vec![true; n],
+            (0..n).map(|i| i == 2 || i == 7).collect::<Vec<_>>(),
+            vec![false; n],
+        ];
+        for node in [0, 4, n - 1] {
+            let implicit = topo.neighbors(node);
+            let ids = implicit.to_vec();
+            for alive in &masks {
+                assert_eq!(
+                    selection_sequence(implicit, node, alive),
+                    selection_sequence(Neighbors::list(&ids), node, alive),
+                    "node {node}, alive {alive:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-neighbor")]
+    fn implicit_view_refuses_send_to_self() {
+        let topo = Topology::complete(4);
+        let mut cursor = 0usize;
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut outbox: Vec<(NodeId, u32)> = Vec::new();
+        let mut ctx = Context::new(1, topo.neighbors(1), &mut cursor, &mut rng, &mut outbox, 0);
+        ctx.send(0, 0);
+        ctx.send(1, 0);
+    }
+
     #[test]
     #[should_panic(expected = "non-neighbor")]
     fn send_to_stranger_panics() {
@@ -233,7 +309,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut outbox: Vec<(NodeId, u32)> = Vec::new();
         {
-            let mut ctx = Context::new(0, &neighbors, &mut cursor, &mut rng, &mut outbox, 0);
+            let mut ctx = Context::new(
+                0,
+                Neighbors::list(&neighbors),
+                &mut cursor,
+                &mut rng,
+                &mut outbox,
+                0,
+            );
             ctx.send(1, 10);
             ctx.send(2, 20);
         }

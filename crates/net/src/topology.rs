@@ -62,6 +62,14 @@ impl Error for TopologyError {}
 /// convergence theorem. Undirected shapes (ring, grid, …) are represented
 /// by edges in both directions.
 ///
+/// The complete graph ([`Topology::complete`], the paper's simulation
+/// topology) is stored implicitly as its node count, so it costs O(1)
+/// memory instead of n(n−1) ids; every other shape stores one sorted
+/// out-neighbor list per node. Both answer [`Topology::neighbors`] with
+/// the same [`Neighbors`] view in the same ascending order, and equality
+/// is semantic: two topologies are equal when they have the same nodes
+/// and the same neighbor sets, whichever way they are stored.
+///
 /// # Example
 ///
 /// ```
@@ -72,10 +80,136 @@ impl Error for TopologyError {}
 /// assert!(t.is_strongly_connected());
 /// assert_eq!(t.neighbors(0), &[1, 4]); // right and down from the corner
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Topology {
-    out: Vec<Vec<NodeId>>,
+    adj: Adjacency,
 }
+
+#[derive(Debug, Clone)]
+enum Adjacency {
+    /// Every node links to every other node.
+    Complete { n: usize },
+    /// One strictly ascending out-neighbor list per node.
+    Lists(Vec<Vec<NodeId>>),
+}
+
+/// A node's out-neighbors, in ascending id order: a borrowed sorted list,
+/// or the implicit "every node but me" of the complete graph.
+///
+/// Cheap to copy; no operation allocates except [`Neighbors::to_vec`].
+/// On the complete graph `get`, `contains` and `len` are O(1) arithmetic;
+/// on a list `contains` is a binary search.
+#[derive(Clone, Copy)]
+pub struct Neighbors<'a>(View<'a>);
+
+#[derive(Clone, Copy)]
+enum View<'a> {
+    List(&'a [NodeId]),
+    AllBut { node: NodeId, n: usize },
+}
+
+impl<'a> Neighbors<'a> {
+    /// A view of an explicit neighbor list, which must be strictly
+    /// ascending (`contains` binary-searches it).
+    pub(crate) fn list(ids: &'a [NodeId]) -> Self {
+        Neighbors(View::List(ids))
+    }
+
+    /// `true` unless an explicit list breaks the ascending-order invariant
+    /// that `contains` relies on.
+    pub(crate) fn is_strictly_ascending(&self) -> bool {
+        match self.0 {
+            View::List(ids) => ids.windows(2).all(|w| w[0] < w[1]),
+            View::AllBut { .. } => true,
+        }
+    }
+
+    /// Number of neighbors.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            View::List(ids) => ids.len(),
+            View::AllBut { n, .. } => n - 1,
+        }
+    }
+
+    /// `true` when the node has no out-neighbors.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `k`-th neighbor in ascending id order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.len()`.
+    pub fn get(&self, k: usize) -> NodeId {
+        match self.0 {
+            View::List(ids) => ids[k],
+            View::AllBut { node, n } => {
+                assert!(k < n - 1, "neighbor index {k} out of range for {n} nodes");
+                k + usize::from(k >= node)
+            }
+        }
+    }
+
+    /// `true` when `to` is one of the neighbors.
+    pub fn contains(&self, to: NodeId) -> bool {
+        match self.0 {
+            View::List(ids) => ids.binary_search(&to).is_ok(),
+            View::AllBut { node, n } => to != node && to < n,
+        }
+    }
+
+    /// The neighbors in ascending id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = NodeId> + 'a {
+        let view = *self;
+        (0..view.len()).map(move |k| view.get(k))
+    }
+
+    /// The neighbors collected into a vector.
+    pub fn to_vec(&self) -> Vec<NodeId> {
+        self.iter().collect()
+    }
+}
+
+impl fmt::Debug for Neighbors<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for Neighbors<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl PartialEq<[NodeId]> for Neighbors<'_> {
+    fn eq(&self, other: &[NodeId]) -> bool {
+        self.iter().eq(other.iter().copied())
+    }
+}
+
+impl<const N: usize> PartialEq<&[NodeId; N]> for Neighbors<'_> {
+    fn eq(&self, other: &&[NodeId; N]) -> bool {
+        *self == other[..]
+    }
+}
+
+impl PartialEq for Topology {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.adj, &other.adj) {
+            (Adjacency::Complete { n: a }, Adjacency::Complete { n: b }) => a == b,
+            (Adjacency::Lists(a), Adjacency::Lists(b)) => a == b,
+            _ => {
+                self.len() == other.len()
+                    && (0..self.len()).all(|i| self.neighbors(i) == other.neighbors(i))
+            }
+        }
+    }
+}
+
+impl Eq for Topology {}
 
 impl Topology {
     /// Builds a topology from explicit directed edges.
@@ -107,7 +241,7 @@ impl Topology {
         for nbrs in &mut out {
             nbrs.sort_unstable();
         }
-        let topo = Topology { out };
+        let topo = Topology::from_lists(out);
         if !topo.is_strongly_connected() {
             return Err(TopologyError::NotConnected);
         }
@@ -132,17 +266,17 @@ impl Topology {
         Topology::from_directed_edges(n, &directed)
     }
 
-    /// The complete graph on `n` nodes (the paper's simulation topology).
+    /// The complete graph on `n` nodes (the paper's simulation topology),
+    /// stored implicitly: O(1) memory at any `n`.
     ///
     /// # Panics
     ///
     /// Panics if `n < 2`.
     pub fn complete(n: usize) -> Self {
         assert!(n >= 2, "complete graph needs at least 2 nodes");
-        let out = (0..n)
-            .map(|i| (0..n).filter(|&j| j != i).collect())
-            .collect();
-        Topology { out }
+        Topology {
+            adj: Adjacency::Complete { n },
+        }
     }
 
     /// A bidirectional ring.
@@ -160,7 +294,7 @@ impl Topology {
                 nbrs
             })
             .collect();
-        Topology { out }
+        Topology::from_lists(out)
     }
 
     /// A directed cycle `0 → 1 → … → n−1 → 0` — the sparsest strongly
@@ -172,7 +306,7 @@ impl Topology {
     pub fn directed_cycle(n: usize) -> Self {
         assert!(n >= 2, "cycle needs at least 2 nodes");
         let out = (0..n).map(|i| vec![(i + 1) % n]).collect();
-        Topology { out }
+        Topology::from_lists(out)
     }
 
     /// A bidirectional path (line) graph.
@@ -194,7 +328,7 @@ impl Topology {
                 nbrs
             })
             .collect();
-        Topology { out }
+        Topology::from_lists(out)
     }
 
     /// A star: node 0 is the hub connected to every leaf (both directions).
@@ -210,7 +344,7 @@ impl Topology {
             nbrs.push(0);
             let _ = leaf;
         }
-        Topology { out }
+        Topology::from_lists(out)
     }
 
     /// A `rows × cols` 4-neighbor grid.
@@ -241,7 +375,7 @@ impl Topology {
                 out[idx(r, c)] = nbrs;
             }
         }
-        Topology { out }
+        Topology::from_lists(out)
     }
 
     /// An `rows × cols` torus: a grid with wrap-around edges, so every node
@@ -269,7 +403,7 @@ impl Topology {
                 out[idx(r, c)] = nbrs;
             }
         }
-        Topology { out }
+        Topology::from_lists(out)
     }
 
     /// An Erdős–Rényi `G(n, p)` graph (undirected), retried until strongly
@@ -345,23 +479,40 @@ impl Topology {
         Err(TopologyError::CouldNotConnect { attempts: ATTEMPTS })
     }
 
+    /// Wraps per-node sorted out-neighbor lists.
+    fn from_lists(out: Vec<Vec<NodeId>>) -> Self {
+        Topology {
+            adj: Adjacency::Lists(out),
+        }
+    }
+
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.out.len()
+        match &self.adj {
+            Adjacency::Complete { n } => *n,
+            Adjacency::Lists(out) => out.len(),
+        }
     }
 
     /// `true` when the topology has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.out.is_empty()
+        self.len() == 0
     }
 
-    /// The out-neighbors of `node`.
+    /// The out-neighbors of `node`, in ascending id order. The view
+    /// borrows the topology and allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.out[node]
+    pub fn neighbors(&self, node: NodeId) -> Neighbors<'_> {
+        match &self.adj {
+            Adjacency::Complete { n } => {
+                assert!(node < *n, "node {node} out of range for {n} nodes");
+                Neighbors(View::AllBut { node, n: *n })
+            }
+            Adjacency::Lists(out) => Neighbors::list(&out[node]),
+        }
     }
 
     /// Out-degree of `node`.
@@ -370,17 +521,24 @@ impl Topology {
     ///
     /// Panics if `node` is out of range.
     pub fn degree(&self, node: NodeId) -> usize {
-        self.out[node].len()
+        self.neighbors(node).len()
     }
 
     /// Total number of directed edges.
     pub fn edge_count(&self) -> usize {
-        self.out.iter().map(Vec::len).sum()
+        match &self.adj {
+            Adjacency::Complete { n } => n * (n - 1),
+            Adjacency::Lists(out) => out.iter().map(Vec::len).sum(),
+        }
     }
 
     /// `true` when every node can reach every other node.
     pub fn is_strongly_connected(&self) -> bool {
-        let n = self.len();
+        let out = match &self.adj {
+            Adjacency::Complete { n } => return *n > 0,
+            Adjacency::Lists(out) => out,
+        };
+        let n = out.len();
         if n == 0 {
             return false;
         }
@@ -389,12 +547,12 @@ impl Topology {
         }
         // Strong connectivity also needs reachability in the reversed graph.
         let mut rev = vec![Vec::new(); n];
-        for (a, nbrs) in self.out.iter().enumerate() {
+        for (a, nbrs) in out.iter().enumerate() {
             for &b in nbrs {
                 rev[b].push(a);
             }
         }
-        let rev_topo = Topology { out: rev };
+        let rev_topo = Topology::from_lists(rev);
         rev_topo.reachable_from(0).iter().all(|&r| r)
     }
 
@@ -404,6 +562,9 @@ impl Topology {
     ///
     /// Panics if the graph is not strongly connected.
     pub fn diameter(&self) -> usize {
+        if let Adjacency::Complete { .. } = self.adj {
+            return 1;
+        }
         let mut best = 0;
         for s in 0..self.len() {
             let dist = self.bfs_distances(s);
@@ -416,14 +577,26 @@ impl Topology {
     }
 
     /// BFS hop distances from `source` (`None` for unreachable nodes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of range.
     pub fn bfs_distances(&self, source: NodeId) -> Vec<Option<usize>> {
-        let mut dist = vec![None; self.len()];
+        let out = match &self.adj {
+            Adjacency::Complete { n } => {
+                let mut dist = vec![Some(1); *n];
+                dist[source] = Some(0);
+                return dist;
+            }
+            Adjacency::Lists(out) => out,
+        };
+        let mut dist = vec![None; out.len()];
         let mut queue = VecDeque::new();
         dist[source] = Some(0);
         queue.push_back(source);
         while let Some(u) = queue.pop_front() {
             let du = dist[u].expect("visited nodes have distances");
-            for &v in &self.out[u] {
+            for &v in &out[u] {
                 if dist[v].is_none() {
                     dist[v] = Some(du + 1);
                     queue.push_back(v);
@@ -455,6 +628,82 @@ mod tests {
         assert!(t.is_strongly_connected());
         assert_eq!(t.diameter(), 1);
         assert_eq!(t.neighbors(2), &[0, 1, 3, 4]);
+    }
+
+    fn explicit_complete(n: usize) -> Topology {
+        let edges: Vec<(NodeId, NodeId)> = (0..n)
+            .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)))
+            .collect();
+        Topology::from_directed_edges(n, &edges).expect("complete graph is connected")
+    }
+
+    #[test]
+    fn implicit_complete_matches_explicit_edge_lists() {
+        for n in [2, 3, 5, 64] {
+            let implicit = Topology::complete(n);
+            let explicit = explicit_complete(n);
+            assert!(matches!(implicit.adj, Adjacency::Complete { .. }));
+            assert!(matches!(explicit.adj, Adjacency::Lists(_)));
+            assert_eq!(implicit, explicit, "n = {n}");
+            assert_eq!(implicit.len(), explicit.len());
+            assert_eq!(implicit.edge_count(), explicit.edge_count());
+            assert_eq!(implicit.diameter(), explicit.diameter());
+            assert!(implicit.is_strongly_connected());
+            for i in 0..n {
+                let (a, b) = (implicit.neighbors(i), explicit.neighbors(i));
+                assert_eq!(implicit.degree(i), explicit.degree(i));
+                assert!(a.iter().eq(b.iter()), "n = {n}, node {i}");
+                assert_eq!(
+                    (0..a.len()).map(|k| a.get(k)).collect::<Vec<_>>(),
+                    b.to_vec()
+                );
+                for to in 0..=n {
+                    assert_eq!(a.contains(to), b.contains(to), "n = {n}, {i} -> {to}");
+                }
+                assert_eq!(implicit.bfs_distances(i), explicit.bfs_distances(i));
+            }
+        }
+    }
+
+    #[test]
+    fn semantic_equality_tells_graphs_apart() {
+        assert_ne!(Topology::complete(3), Topology::complete(4));
+        assert_ne!(Topology::complete(4), Topology::ring(4));
+        // On three nodes the bidirectional ring is the complete graph.
+        assert_eq!(Topology::complete(3), Topology::ring(3));
+    }
+
+    #[test]
+    fn complete_graph_is_implicit_at_a_million_nodes() {
+        // Materialized, this graph would hold 2^40 ids (8 TiB); implicit,
+        // every query below is arithmetic.
+        let n = 1 << 20;
+        let t = Topology::complete(n);
+        assert_eq!(t.len(), n);
+        assert_eq!(t.degree(0), n - 1);
+        assert_eq!(t.degree(n - 1), n - 1);
+        assert_eq!(t.edge_count(), n * (n - 1));
+        let nb = t.neighbors(5);
+        assert_eq!(nb.len(), n - 1);
+        assert_eq!(nb.get(0), 0);
+        assert_eq!(nb.get(4), 4);
+        assert_eq!(nb.get(5), 6);
+        assert_eq!(nb.get(n - 2), n - 1);
+        assert!(!nb.contains(5));
+        assert!(nb.contains(0) && nb.contains(n - 1));
+        assert!(!nb.contains(n));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn implicit_neighbor_index_is_bounds_checked() {
+        let _ = Topology::complete(4).neighbors(0).get(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn implicit_neighbors_of_a_stranger_panics() {
+        let _ = Topology::complete(4).neighbors(4);
     }
 
     #[test]

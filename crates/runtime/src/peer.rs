@@ -93,7 +93,8 @@ pub(crate) struct Status<S> {
     pub id: NodeId,
     pub classification: Classification<S>,
     /// Quiescing with no unsettled sends: every half this peer put on the
-    /// wire has been acknowledged or returned.
+    /// wire has been acknowledged or returned, and a retiree's grains are
+    /// handed off.
     pub drained: bool,
 }
 
@@ -509,7 +510,12 @@ where
     let mut quiescing = false;
     let mut crashed = false;
     let mut retiring = false;
+    // Whether the retiree's current grains are handed off (or cannot
+    // be); a returned half clears it so the retiree hands off again.
     let mut handed_off = false;
+    // Handoffs sent so far: each new one goes to the next eligible
+    // neighbor, so a returned handoff does not retry a dead target.
+    let mut handoffs = 0usize;
     // A churn joiner introduces itself so established peers adopt it.
     // Join frames are fire-and-forget (the supervisor also broadcasts
     // `Ctrl::Adopt`, so a lost announcement is only a lost shortcut).
@@ -567,12 +573,15 @@ where
         // live neighbor through the normal sequenced/acked machinery.
         // Until the ack lands the handoff sits in `pending` like any
         // other send — retried, and returned to this peer if abandoned —
-        // so the books stay exact whichever way it goes.
+        // so the books stay exact whichever way it goes. A returned
+        // handoff (or any other returned half) is handed off again.
         if retiring && !handed_off {
-            let to = neighbors
+            let eligible: Vec<NodeId> = neighbors
                 .iter()
                 .copied()
-                .find(|&p| defense.as_ref().is_none_or(|d| !d.is_convicted(p)));
+                .filter(|&p| defense.as_ref().is_none_or(|d| !d.is_convicted(p)))
+                .collect();
+            let to = (!eligible.is_empty()).then(|| eligible[handoffs % eligible.len()]);
             match to {
                 None => handed_off = true, // no live neighbor: keep the grains
                 Some(to) => {
@@ -640,6 +649,7 @@ where
                                             },
                                         );
                                         handed_off = true;
+                                        handoffs += 1;
                                     }
                                     Err(_) => {
                                         // Transport refused; take the
@@ -928,6 +938,10 @@ where
                         transit_us: None,
                     });
                     last_merge = Some(start.elapsed());
+                    // A retiree must not leave with returned grains.
+                    if retiring {
+                        handed_off = false;
+                    }
                 }
             }
         }
@@ -996,6 +1010,12 @@ where
                             }
                             clock += 1;
                             send_ack(&mut transport, &mut metrics, me, clock, &frame);
+                        } else if retiring {
+                            // A retiree merges nothing new and sends no
+                            // ack: the sender's retry budget runs out and
+                            // its return path takes the half back, so the
+                            // retiree leaves holding no grains. The seq
+                            // stays unseen, so nothing is suppressed.
                         } else {
                             // A fresh frame that leaves a sequence gap
                             // arrived out of order (loss or reordering).
@@ -1289,8 +1309,9 @@ where
             }
         }
 
-        // 5b. Status reports: periodic, plus immediately on drain.
-        let drained = quiescing && pending.is_empty();
+        // 5b. Status reports: periodic, plus immediately on drain. A
+        // retiree is drained only once its grains are handed off.
+        let drained = quiescing && pending.is_empty() && (!retiring || handed_off);
         if now >= next_status || (drained && !drained_reported) {
             next_status = now + cfg.status_interval;
             drained_reported = drained;
@@ -1358,6 +1379,153 @@ fn send_ack<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{ChannelNet, ChannelTransport};
+    use distclass_core::{CentroidInstance, Collection, Weight};
+    use distclass_linalg::Vector;
+    use std::sync::{mpsc, Arc};
+    use std::thread;
+
+    const GPU: u64 = 1 << 10;
+
+    /// Node 0 of an `n`-endpoint channel net, running as a retiring
+    /// peer whose neighbors are every other node. The test plays those
+    /// neighbors through `far` (index `k` is node `k + 1`).
+    struct Retiree {
+        far: Vec<ChannelTransport>,
+        ctrl: Sender<Ctrl>,
+        events: Receiver<PeerEvent<Vector>>,
+        handle: thread::JoinHandle<PeerExit<Vector>>,
+    }
+
+    fn spawn_retiree(n: usize, retry: RetryPolicy) -> Retiree {
+        let mut endpoints = ChannelNet::reliable(n);
+        let near = endpoints.remove(0);
+        let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
+        let node = ClassifierNode::new(inst, &Vector::from([1.0, 1.0]), Quantum::new(GPU));
+        let cfg = PeerConfig {
+            id: 0,
+            neighbors: (1..n).collect(),
+            tick: Duration::from_millis(1),
+            status_interval: Duration::from_millis(5),
+            checkpoint_interval: Duration::ZERO,
+            retry,
+            selector: SelectorKind::RoundRobin,
+            seed: 5,
+            tracer: Tracer::disabled(),
+            metrics: Metrics::disabled(),
+            profiler: Profiler::disabled(),
+            attack: None,
+            defense: None,
+            grains_per_unit: GPU,
+            epoch: Instant::now(),
+            drift: Vec::new(),
+            decay: (1, 2),
+            announce_join: false,
+        };
+        let (ctrl_tx, ctrl_rx) = mpsc::channel();
+        let (ev_tx, ev_rx) = mpsc::channel();
+        ctrl_tx.send(Ctrl::Retire).expect("peer not started yet");
+        let handle = thread::spawn(move || {
+            run_peer(node, near, cfg, RestoreState::default(), ctrl_rx, ev_tx)
+        });
+        Retiree {
+            far: endpoints,
+            ctrl: ctrl_tx,
+            events: ev_rx,
+            handle,
+        }
+    }
+
+    /// The next frame of `kind` at `endpoint`, as (incarnation, seq, grains).
+    fn next_frame(endpoint: &mut ChannelTransport, kind: FrameKind) -> (u16, u64, u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < deadline {
+            let Some(buf) = endpoint
+                .recv_timeout(Duration::from_millis(10))
+                .expect("recv")
+            else {
+                continue;
+            };
+            let frame = decode_frame(&buf).expect("peer frames decode");
+            if frame.kind == kind {
+                let half = Vector::decode(frame.payload).expect("payload decodes");
+                return (frame.incarnation, frame.seq, half.total_weight().grains());
+            }
+        }
+        panic!("no {kind:?} frame within 10 s");
+    }
+
+    impl Retiree {
+        /// Waits for the retiree to report drained, then exits it.
+        fn exit_when_drained(self) -> (Vec<ChannelTransport>, PeerExit<Vector>) {
+            loop {
+                match self.events.recv_timeout(Duration::from_secs(10)) {
+                    Ok(PeerEvent::Status(s)) if s.drained => break,
+                    Ok(_) => {}
+                    Err(e) => panic!("retiree never drained: {e}"),
+                }
+            }
+            self.ctrl.send(Ctrl::Exit).expect("peer alive");
+            (self.far, self.handle.join().expect("peer thread"))
+        }
+    }
+
+    fn ack(endpoint: &mut ChannelTransport, me: u16, incarnation: u16, seq: u64) {
+        let frame = encode_frame(FrameKind::Ack, me, incarnation, seq, 100, &[]);
+        endpoint.send(0, &frame).expect("peer alive");
+    }
+
+    /// A data frame that was in flight when its recipient retired (the
+    /// retiree-holds-grains failure of `dyn_workloads` seed 5): the
+    /// retiree must neither merge nor ack it, so the sender's return path
+    /// takes the half back.
+    #[test]
+    fn retiree_refuses_data_that_lands_after_its_handoff() {
+        let mut retiree = spawn_retiree(2, RetryPolicy::default());
+        let (inc, seq, grains) = next_frame(&mut retiree.far[0], FrameKind::Handoff);
+        assert_eq!(grains, GPU, "the handoff carries the whole unit");
+        let mut half = Classification::new();
+        half.push(Collection::new(
+            Vector::from([5.0, 5.0]),
+            Weight::from_grains(GPU / 2),
+        ));
+        let payload = Vector::encode(&half).expect("encodes");
+        let data = encode_frame(FrameKind::Data, 1, 0, 1, 50, &payload);
+        retiree.far[0].send(0, &data).expect("peer alive");
+        ack(&mut retiree.far[0], 1, inc, seq);
+        let (mut far, exit) = retiree.exit_when_drained();
+        assert_eq!(exit.report.classification.total_weight().grains(), 0);
+        assert_eq!(exit.report.metrics.msgs_received, 0);
+        while let Some(buf) = far[0].recv_timeout(Duration::ZERO).expect("recv") {
+            let frame = decode_frame(&buf).expect("peer frames decode");
+            assert_ne!(
+                frame.kind,
+                FrameKind::Ack,
+                "the retiree acked a refused frame"
+            );
+        }
+    }
+
+    /// A handoff whose retry budget runs out comes back to the retiree,
+    /// which hands it off again — to the next neighbor — before it exits.
+    #[test]
+    fn retiree_hands_off_a_returned_handoff_again() {
+        let retry = RetryPolicy {
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(2),
+            max_retries: 2,
+        };
+        let mut retiree = spawn_retiree(3, retry);
+        // Node 1 swallows the first handoff; node 2 takes the second.
+        let (_, _, first) = next_frame(&mut retiree.far[0], FrameKind::Handoff);
+        let (inc, seq, second) = next_frame(&mut retiree.far[1], FrameKind::Handoff);
+        assert_eq!((first, second), (GPU, GPU));
+        ack(&mut retiree.far[1], 2, inc, seq);
+        let (_, exit) = retiree.exit_when_drained();
+        assert_eq!(exit.report.metrics.returned, 1);
+        assert_eq!(exit.report.classification.total_weight().grains(), 0);
+        assert!(exit.pendings.is_empty());
+    }
 
     #[test]
     fn seq_tracker_dedups_in_order() {

@@ -213,6 +213,47 @@ fn drift_and_churn_reconverge_and_balance_exactly() {
     }
 }
 
+/// Regression at the seed where the sweep above once failed: a retiree
+/// kept merging data frames that landed after its handoff (and kept
+/// returned halves), so it exited holding grains. The race depends on
+/// thread timing, so the seed is replayed several times.
+#[test]
+fn retiree_leaves_no_grains_at_pinned_seed_5() {
+    let seed = 5;
+    for rep in 0..3 {
+        let drift = DriftSchedule::parse("step@300ms:0-3=9.0,9.0", seed).expect("drift spec");
+        let churn =
+            ChurnPlan::parse("join@250ms:8=4.0,4.0;leave@450ms:2", seed).expect("churn spec");
+        let config = ClusterConfig {
+            tick: Duration::from_millis(1),
+            tol: 1e-6,
+            stable_window: Duration::from_millis(150),
+            max_wall: Duration::from_secs(30),
+            drain_wall: Duration::from_secs(15),
+            seed,
+            audit: true,
+            drift: Some(Arc::new(drift)),
+            churn: Some(Arc::new(churn)),
+            ..ClusterConfig::default()
+        };
+        let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
+        let report =
+            run_channel_cluster(&Topology::complete(8), inst, &two_site_values(8), &config);
+        assert!(report.drained, "rep {rep}: cluster did not drain");
+        assert_eq!(report.nodes[2].outcome, NodeOutcome::Retired, "rep {rep}");
+        assert_eq!(
+            report.nodes[2].classification.total_weight().grains(),
+            0,
+            "rep {rep}: a retiree must leave no grains behind"
+        );
+        let audit = report.audit.as_ref().expect("audit was requested");
+        assert!(
+            audit.ok() && audit.exact,
+            "rep {rep}: audit failed\n{audit}"
+        );
+    }
+}
+
 /// Drift, a partition and a colluding cartel in one run: the defense
 /// must tell scripted sensor drift (honest, declared) apart from wire
 /// lies (malicious), convicting exactly the cast while the honest
