@@ -15,53 +15,34 @@
 //! * **fault windows** — `FaultActivated`/`FaultHealed` pairs keyed by
 //!   `(kind, node)`, annotated with the round (or telemetry sample)
 //!   marker current when they fired.
-//! * **per-peer grain ledgers** — replayed with exactly the semantics of
-//!   the grain-conservation auditor: for every non-panicked peer,
-//!   `final = initial/n + Σ deltas(merge + return − split) − Σ voided`,
-//!   where the voided sums are `merged + returned − split` from
-//!   `GrainsVoided` rollbacks. Any residue is reported as drift.
-//! * **convergence** — the earliest round where
-//!   [`TelemetrySeries::converged`] holds over the trace's telemetry
-//!   samples (per-round `Telemetry` events, or `ClusterTelemetry`
-//!   wall-clock samples when the trace came from the deployment runtime).
+//! * **per-peer grain ledgers** — the trace folded through the shared
+//!   [`Ledger`], whose identity mirrors the grain-conservation auditor:
+//!   for every non-panicked peer, `final = base + merged + returned −
+//!   split + injected − forgotten − voided`. Any residue is reported as
+//!   drift.
+//! * **convergence** — the earliest sample where the
+//!   [`ConvergenceRule`] holds over the trace's [`trajectory`]
+//!   (per-round `Telemetry` events, or `ClusterTelemetry` wall-clock
+//!   samples when the trace came from the deployment runtime).
 //! * **anomalies** — the flags the CI gate fails on: ledger drift,
 //!   panicked peers, stalled peers, stale unmatched sends, and audit
 //!   verdict mismatches.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use crate::event::{GrainOp, TraceEvent};
+pub use crate::ledger::AuditVerdict;
+
+use crate::event::{parse_jsonl, TraceEvent};
 use crate::json::{field, num, str as jstr, unum, Json, JsonError};
+use crate::ledger::Ledger;
 use crate::metrics::{Histogram, HistogramSnapshot};
-use crate::telemetry::{TelemetrySample, TelemetrySeries};
+use crate::telemetry::{trajectory, ConvergenceRule};
 
 /// Latencies are observed in thousandths of a trace clock unit so the
 /// integer-valued histogram keeps sub-unit resolution (a round-engine
 /// hop of exactly 1 round lands at 1000).
 const LATENCY_SCALE: f64 = 1000.0;
-
-/// Tuning knobs for the replay — currently the convergence rule fed to
-/// [`TelemetrySeries::converged`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalyzeOptions {
-    /// Trailing samples that must all sit below `level`.
-    pub window: usize,
-    /// Maximum dispersion change between consecutive window samples.
-    pub delta_tol: f64,
-    /// Dispersion level counted as converged.
-    pub level: f64,
-}
-
-impl Default for AnalyzeOptions {
-    fn default() -> Self {
-        AnalyzeOptions {
-            window: 5,
-            delta_tol: 1e-3,
-            level: 0.05,
-        }
-    }
-}
 
 /// Send→deliver statistics for one directed link.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,7 +99,8 @@ pub struct FaultWindow {
 pub struct PeerLedger {
     /// Peer id.
     pub node: usize,
-    /// Grains minted to this peer at start (`initial_grains / nodes`).
+    /// Grains minted to this peer at start (`initial_grains / nodes`, 0
+    /// for a mid-run joiner).
     pub initial: u64,
     /// Net signed grain movement: Σ (merge + return − split).
     pub deltas: i64,
@@ -163,27 +145,6 @@ pub struct Convergence {
     pub round: Option<u64>,
     /// Dispersion of the final sample, when it carried one.
     pub final_dispersion: Option<f64>,
-}
-
-/// The in-run auditor's verdict, copied from the `AuditSummary` event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AuditVerdict {
-    /// Grains minted at start.
-    pub initial: u64,
-    /// Grains held by completed peers at shutdown.
-    pub final_grains: u64,
-    /// Declared gains.
-    pub gains: u64,
-    /// Declared losses.
-    pub losses: u64,
-    /// Declared dynamic injections (drift re-reads and joins).
-    pub injected: u64,
-    /// Declared dynamic decay (drift forgetting).
-    pub forgotten: u64,
-    /// Books closed exactly.
-    pub exact: bool,
-    /// Conservation held.
-    pub conserved: bool,
 }
 
 /// A red flag the replay raises; any anomaly fails the CI trace gate.
@@ -381,41 +342,22 @@ impl Default for LinkAcc {
 
 impl TraceReport {
     /// Replays a parsed event stream (in trace-file order).
-    pub fn from_events(events: &[TraceEvent], opts: &AnalyzeOptions) -> TraceReport {
-        let mut nodes = 0usize;
-        let mut initial_grains = 0u64;
+    pub fn from_events(events: &[TraceEvent], rule: &ConvergenceRule) -> TraceReport {
+        let mut ledger = Ledger::default();
         let mut rounds = RoundsSummary::default();
         let mut links: BTreeMap<(usize, usize), LinkAcc> = BTreeMap::new();
         let mut max_at = f64::NEG_INFINITY;
         let mut faults: Vec<FaultWindow> = Vec::new();
-        let mut deltas: HashMap<usize, i64> = HashMap::new();
-        let mut voided: HashMap<usize, i64> = HashMap::new();
-        // Dynamic-workload mass: drift injections net of forgetting, plus
-        // each joiner's declared unit (joiners start from a base of 0).
-        let mut dynamic: HashMap<usize, i64> = HashMap::new();
-        let mut joined: HashMap<usize, ()> = HashMap::new();
-        let mut finals: BTreeMap<usize, (String, u64)> = BTreeMap::new();
-        let mut audit: Option<AuditVerdict> = None;
-        // Telemetry: per-round samples when present, wall-clock cluster
-        // samples synthesized into a series otherwise.
-        let mut series = TelemetrySeries::new();
-        let mut cluster_series = TelemetrySeries::new();
         // The round/sample marker current as the stream advances, used to
-        // place fault windows on the round timeline.
+        // place fault windows on the round timeline; wall-clock cluster
+        // samples are numbered by arrival.
         let mut marker: Option<u64> = None;
-        // Anomalies raised while streaming (the rest come from the
-        // post-pass reconciliations below).
-        let mut anomalies_pre: Vec<Anomaly> = Vec::new();
+        let mut cluster_samples = 0u64;
+        let mut anomalies: Vec<Anomaly> = Vec::new();
 
         for ev in events {
+            ledger.record(ev);
             match ev {
-                TraceEvent::ClusterStarted {
-                    nodes: n,
-                    initial_grains: g,
-                } => {
-                    nodes = *n;
-                    initial_grains = *g;
-                }
                 TraceEvent::RoundCompleted {
                     round,
                     sent,
@@ -470,117 +412,19 @@ impl TraceReport {
                         w.healed_round = marker;
                     }
                 }
-                TraceEvent::GrainDelta {
-                    node, op, grains, ..
-                } => {
-                    let signed = match op {
-                        GrainOp::Merge | GrainOp::Return => *grains as i64,
-                        GrainOp::Split => -(*grains as i64),
-                    };
-                    *deltas.entry(*node).or_default() += signed;
-                }
-                TraceEvent::GrainsVoided {
-                    node,
-                    split,
-                    merged,
-                    returned,
-                    injected,
-                    forgotten,
-                    ..
-                } => {
-                    *voided.entry(*node).or_default() +=
-                        *merged as i64 + *returned as i64 - *split as i64 + *injected as i64
-                            - *forgotten as i64;
-                }
-                TraceEvent::SensorDrift {
-                    node,
-                    injected,
-                    forgotten,
-                    ..
-                } => {
-                    *dynamic.entry(*node).or_default() += *injected as i64 - *forgotten as i64;
-                }
-                TraceEvent::PeerJoined { node, grains, .. } => {
-                    joined.insert(*node, ());
-                    *dynamic.entry(*node).or_default() += *grains as i64;
-                }
-                TraceEvent::PeerFinal {
-                    node,
-                    outcome,
-                    grains,
-                } => {
-                    finals.insert(*node, (outcome.clone(), *grains));
-                }
-                TraceEvent::AuditSummary {
-                    initial,
-                    final_grains,
-                    gains,
-                    losses,
-                    injected,
-                    forgotten,
-                    exact,
-                    conserved,
-                } => {
-                    audit = Some(AuditVerdict {
-                        initial: *initial,
-                        final_grains: *final_grains,
-                        gains: *gains,
-                        losses: *losses,
-                        injected: *injected,
-                        forgotten: *forgotten,
-                        exact: *exact,
-                        conserved: *conserved,
-                    });
-                }
-                TraceEvent::Telemetry(sample) => {
-                    marker = Some(sample.round);
-                    series.push(sample.clone());
-                }
-                TraceEvent::ClusterTelemetry {
-                    live,
-                    dispersion,
-                    unix_ms,
-                    ..
-                } => {
-                    let round = cluster_series.len() as u64;
-                    marker = Some(round);
-                    cluster_series.push(TelemetrySample {
-                        round,
-                        live: *live,
-                        classifications_mean: 0.0,
-                        classifications_max: 0,
-                        weight_spread: 0.0,
-                        mean_error: None,
-                        max_error: None,
-                        dispersion: dispersion.is_finite().then_some(*dispersion),
-                        unix_ms: *unix_ms,
-                    });
+                TraceEvent::Telemetry(sample) => marker = Some(sample.round),
+                TraceEvent::ClusterTelemetry { .. } => {
+                    marker = Some(cluster_samples);
+                    cluster_samples += 1;
                 }
                 TraceEvent::TraceTruncated { bytes_written } => {
-                    anomalies_pre.push(Anomaly::TraceTruncated {
+                    anomalies.push(Anomaly::TraceTruncated {
                         bytes_written: *bytes_written,
                     });
                 }
-                // A retirement's handoff already shows up as an ordinary
-                // split delta on the retiring node, so the event itself
-                // carries no extra ledger weight here.
-                TraceEvent::TickCompleted { .. }
-                | TraceEvent::PeerCrashed { .. }
-                | TraceEvent::PeerRestarted { .. }
-                | TraceEvent::PeerCheckpoint { .. }
-                | TraceEvent::PeerRetired { .. }
-                | TraceEvent::AdversaryActivated { .. }
-                | TraceEvent::AuditProbe { .. }
-                | TraceEvent::AuditVerdict { .. }
-                | TraceEvent::PeerStrike { .. }
-                | TraceEvent::PeerConvicted { .. }
-                | TraceEvent::FrameRejected { .. }
-                | TraceEvent::PeerBandwidth { .. }
-                | TraceEvent::ByzSummary { .. } => {}
+                _ => {}
             }
         }
-
-        let mut anomalies: Vec<Anomaly> = anomalies_pre;
 
         // Per-link stats. Unresolved sends from the newest trace instant
         // were legitimately in flight at shutdown; anything older had
@@ -615,59 +459,51 @@ impl TraceReport {
             })
             .collect();
 
-        // Grain ledgers, with the auditor's exact arithmetic. Ledgers
+        // Per-peer ledgers, for every peer that reported a final. Ledgers
         // only exist when the trace carries grain accounting at all.
+        let nodes = ledger.nodes();
+        let finals: Vec<(usize, &str, u64)> = ledger
+            .books
+            .iter()
+            .filter_map(|(&node, b)| Some((node, b.outcome.as_deref()?, b.final_grains?)))
+            .collect();
         let mut ledgers: Vec<PeerLedger> = Vec::new();
         if !finals.is_empty() && nodes > 0 {
-            let per_node = (initial_grains / nodes as u64) as i64;
             for node in 0..nodes {
-                if !finals.contains_key(&node) {
+                if !finals.iter().any(|&(n, _, _)| n == node) {
                     anomalies.push(Anomaly::MissingPeerFinal { node });
                 }
             }
-            let any_active = !deltas.is_empty();
-            for (&node, (outcome, grains)) in &finals {
-                let d = deltas.get(&node).copied().unwrap_or(0);
-                let v = voided.get(&node).copied().unwrap_or(0);
-                let dy = dynamic.get(&node).copied().unwrap_or(0);
-                // Joiners were minted nothing at start: their whole base
-                // arrives as a declared injection.
-                let base = if joined.contains_key(&node) {
-                    0
-                } else {
-                    per_node
-                };
-                let drift = if outcome == "panicked" {
-                    anomalies.push(Anomaly::PanickedPeer { node });
-                    None
-                } else {
-                    let expected = base + d + dy - v;
-                    let drift = *grains as i64 - expected;
-                    if drift != 0 {
+            let any_active = ledger.books.values().any(|b| b.deltas > 0);
+            for &(node, outcome, grains) in &finals {
+                let b = &ledger.books[&node];
+                let drift = ledger.drift(node).map(|d| d as i64);
+                match drift {
+                    None => anomalies.push(Anomaly::PanickedPeer { node }),
+                    Some(drift) if drift != 0 => {
                         anomalies.push(Anomaly::LedgerDrift { node, drift });
                     }
-                    Some(drift)
-                };
-                if any_active && nodes > 1 && outcome == "completed" && !deltas.contains_key(&node)
-                {
+                    Some(_) => {}
+                }
+                if any_active && nodes > 1 && outcome == "completed" && b.deltas == 0 {
                     anomalies.push(Anomaly::StalledPeer { node });
                 }
                 ledgers.push(PeerLedger {
                     node,
-                    initial: base as u64,
-                    deltas: d,
-                    voided: v,
-                    dynamic: dy,
-                    outcome: Some(outcome.clone()),
-                    final_grains: Some(*grains),
+                    initial: ledger.base(node),
+                    deltas: b.moved.net() as i64,
+                    voided: b.voided.net() as i64,
+                    dynamic: b.dynamic() as i64,
+                    outcome: Some(outcome.to_string()),
+                    final_grains: Some(grains),
                     drift,
                 });
             }
         }
 
         // The replayed books must agree with the in-run auditor, whose
-        // final count covers completed peers only.
-        if let Some(a) = &audit {
+        // final count covers completed and retired peers only.
+        if let Some(a) = &ledger.audit {
             if !a.exact {
                 anomalies.push(Anomaly::AuditInexact);
             }
@@ -676,9 +512,9 @@ impl TraceReport {
             }
             if !finals.is_empty() {
                 let replayed: i64 = finals
-                    .values()
-                    .filter(|(outcome, _)| outcome == "completed" || outcome == "retired")
-                    .map(|(_, grains)| *grains as i64)
+                    .iter()
+                    .filter(|(_, outcome, _)| *outcome == "completed" || *outcome == "retired")
+                    .map(|&(_, _, grains)| grains as i64)
                     .sum();
                 if replayed != a.final_grains as i64 {
                     anomalies.push(Anomaly::AuditFinalMismatch {
@@ -689,73 +525,42 @@ impl TraceReport {
             }
         }
 
-        // Convergence: scan the telemetry trajectory for the earliest
-        // prefix satisfying the stopping rule.
-        let series = if series.is_empty() {
-            cluster_series
-        } else {
-            series
-        };
-        let mut convergence = Convergence {
+        // Convergence: the earliest sample where the stopping rule holds.
+        let (series, _) = trajectory(events);
+        let convergence = Convergence {
             samples: series.len(),
-            round: None,
+            round: rule
+                .first_converged(&series.samples)
+                .map(|i| series.samples[i].round),
             final_dispersion: series.last().and_then(|s| s.dispersion),
         };
-        let mut prefix = TelemetrySeries::new();
-        for sample in &series.samples {
-            let round = sample.round;
-            prefix.push(sample.clone());
-            if prefix.converged(opts.window, opts.delta_tol, opts.level) {
-                convergence.round = Some(round);
-                break;
-            }
-        }
 
         TraceReport {
             events: events.len(),
             nodes,
-            initial_grains,
+            initial_grains: ledger.initial_grains(),
             rounds,
             links,
             faults,
             ledgers,
             convergence,
-            audit,
+            audit: ledger.audit,
             unknown_events: 0,
             anomalies,
         }
     }
 
-    /// Parses a JSONL trace and replays it.
-    ///
-    /// Lines whose `"type"` this binary does not know are *skipped and
-    /// counted* (surfacing as an [`Anomaly::UnknownEvents`]) rather than
-    /// failing the replay, so traces from a newer event taxonomy stay
-    /// readable. Extra keys on known events are ignored by the parser.
+    /// Parses a JSONL trace leniently (see [`parse_jsonl`]) and replays
+    /// it. Skipped lines with unknown event types surface as an
+    /// [`Anomaly::UnknownEvents`].
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] naming the offending line on the first
     /// malformed line (bad JSON or a known event with broken fields).
-    pub fn from_jsonl(text: &str, opts: &AnalyzeOptions) -> Result<TraceReport, JsonError> {
-        let mut events = Vec::new();
-        let mut unknown = 0usize;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match TraceEvent::from_json(line) {
-                Ok(ev) => events.push(ev),
-                Err(e) if e.message.contains("unknown event type") => unknown += 1,
-                Err(e) => {
-                    return Err(JsonError {
-                        message: format!("trace line {}: {}", i + 1, e.message),
-                        offset: e.offset,
-                    })
-                }
-            }
-        }
-        let mut report = TraceReport::from_events(&events, opts);
+    pub fn from_jsonl(text: &str, rule: &ConvergenceRule) -> Result<TraceReport, JsonError> {
+        let (events, unknown) = parse_jsonl(text)?;
+        let mut report = TraceReport::from_events(&events, rule);
         if unknown > 0 {
             report.unknown_events = unknown;
             report
@@ -824,18 +629,10 @@ impl TraceReport {
                 ])
             })
             .collect();
-        let audit = self.audit.as_ref().map_or(Json::Null, |a| {
-            Json::Obj(vec![
-                field("initial", unum(a.initial)),
-                field("final", unum(a.final_grains)),
-                field("gains", unum(a.gains)),
-                field("losses", unum(a.losses)),
-                field("injected", unum(a.injected)),
-                field("forgotten", unum(a.forgotten)),
-                field("exact", Json::Bool(a.exact)),
-                field("conserved", Json::Bool(a.conserved)),
-            ])
-        });
+        let audit = self
+            .audit
+            .as_ref()
+            .map_or(Json::Null, |a| a.to_json("final"));
         Json::Obj(vec![
             field("events", unum(self.events as u64)),
             field("nodes", unum(self.nodes as u64)),
@@ -975,6 +772,8 @@ impl fmt::Display for TraceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::GrainOp;
+    use crate::telemetry::TelemetrySample;
 
     fn sent(from: usize, to: usize, at: f64) -> TraceEvent {
         TraceEvent::MessageSent {
@@ -1036,7 +835,7 @@ mod tests {
             // In flight at shutdown on the newest instant — benign.
             sent(0, 1, 6.0),
         ];
-        let report = TraceReport::from_events(&events, &AnalyzeOptions::default());
+        let report = TraceReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert_eq!(report.links.len(), 2);
         let link01 = &report.links[0];
         assert_eq!((link01.from, link01.to), (0, 1));
@@ -1071,7 +870,7 @@ mod tests {
                 reason: crate::event::DropReason::Crashed,
             },
         ];
-        let report = TraceReport::from_events(&events, &AnalyzeOptions::default());
+        let report = TraceReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         let link = &report.links[0];
         assert_eq!(link.dropped, 1);
         assert_eq!(link.latency.count, 0);
@@ -1120,12 +919,12 @@ mod tests {
         };
         // Node 0: 1000 − 300 + 300 = 1000. Node 1: 1000 + 300 − 100 −
         // (300 − 100) = 1000.
-        let clean = TraceReport::from_events(&mk([1000, 1000]), &AnalyzeOptions::default());
+        let clean = TraceReport::from_events(&mk([1000, 1000]), &ConvergenceRule::TRACE_REPORT);
         assert!(clean.clean(), "{:?}", clean.anomalies);
         assert_eq!(clean.ledgers.len(), 2);
         assert!(clean.ledgers.iter().all(|l| l.drift == Some(0)));
 
-        let drifted = TraceReport::from_events(&mk([1000, 993]), &AnalyzeOptions::default());
+        let drifted = TraceReport::from_events(&mk([1000, 993]), &ConvergenceRule::TRACE_REPORT);
         assert!(drifted
             .anomalies
             .iter()
@@ -1144,7 +943,7 @@ mod tests {
             final_ev(0, "completed", 990),
             final_ev(1, "panicked", 0),
         ];
-        let report = TraceReport::from_events(&events, &AnalyzeOptions::default());
+        let report = TraceReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert!(report
             .anomalies
             .iter()
@@ -1168,7 +967,7 @@ mod tests {
             final_ev(1, "completed", 1010),
             final_ev(2, "dead", 1000),
         ];
-        let report = TraceReport::from_events(&events, &AnalyzeOptions::default());
+        let report = TraceReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert!(
             !report
                 .anomalies
@@ -1180,7 +979,7 @@ mod tests {
 
         let mut events = events;
         events[5] = final_ev(2, "completed", 1000);
-        let report = TraceReport::from_events(&events, &AnalyzeOptions::default());
+        let report = TraceReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert!(report
             .anomalies
             .iter()
@@ -1207,7 +1006,7 @@ mod tests {
                 conserved: false,
             },
         ];
-        let report = TraceReport::from_events(&events, &AnalyzeOptions::default());
+        let report = TraceReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert!(report
             .anomalies
             .iter()
@@ -1238,7 +1037,7 @@ mod tests {
                 unix_ms: None,
             }));
         }
-        let opts = AnalyzeOptions {
+        let opts = ConvergenceRule {
             window: 3,
             delta_tol: 1e-2,
             level: 0.05,
@@ -1260,7 +1059,7 @@ mod tests {
                 unix_ms: None,
             });
         }
-        let opts = AnalyzeOptions {
+        let opts = ConvergenceRule {
             window: 2,
             delta_tol: 1e-2,
             level: 0.05,
@@ -1303,7 +1102,7 @@ mod tests {
                 at: 0.6,
             },
         ];
-        let report = TraceReport::from_events(&events, &AnalyzeOptions::default());
+        let report = TraceReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert_eq!(report.faults.len(), 2);
         let crash = &report.faults[0];
         assert_eq!(crash.round, Some(2));
@@ -1317,7 +1116,7 @@ mod tests {
     #[test]
     fn jsonl_parse_errors_name_the_line() {
         let text = "{\"type\":\"cluster_started\",\"nodes\":2,\"initial_grains\":200}\nnot json\n";
-        let err = TraceReport::from_jsonl(text, &AnalyzeOptions::default())
+        let err = TraceReport::from_jsonl(text, &ConvergenceRule::TRACE_REPORT)
             .expect_err("second line is garbage");
         assert!(err.message.contains("line 2"), "{err}");
     }
@@ -1331,7 +1130,7 @@ mod tests {
                     {\"type\":\"tick_completed\",\"node\":0,\"time\":1.0,\"extra_key\":true}\n\
                     {\"type\":\"also_unknown\"}\n";
         let report =
-            TraceReport::from_jsonl(text, &AnalyzeOptions::default()).expect("replay survives");
+            TraceReport::from_jsonl(text, &ConvergenceRule::TRACE_REPORT).expect("replay survives");
         assert_eq!(report.unknown_events, 2);
         assert_eq!(report.events, 2, "known lines were all consumed");
         assert!(report
@@ -1353,7 +1152,7 @@ mod tests {
             },
             TraceEvent::TraceTruncated { bytes_written: 512 },
         ];
-        let report = TraceReport::from_events(&events, &AnalyzeOptions::default());
+        let report = TraceReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert!(report
             .anomalies
             .iter()
@@ -1373,7 +1172,7 @@ mod tests {
             final_ev(0, "completed", 1000),
             final_ev(1, "completed", 1000),
         ];
-        let report = TraceReport::from_events(&events, &AnalyzeOptions::default());
+        let report = TraceReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         let text = report.to_json().to_string();
         let back = Json::parse(&text).expect("report JSON parses");
         assert_eq!(back.req_u64("nodes").expect("nodes"), 2);

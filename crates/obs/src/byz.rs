@@ -164,9 +164,9 @@ impl ByzReport {
     /// # Errors
     ///
     /// [`JsonError`] naming the offending line, as for
-    /// [`crate::analyze::TraceReport::from_jsonl`].
+    /// [`crate::parse_jsonl`].
     pub fn from_jsonl(text: &str) -> Result<ByzReport, JsonError> {
-        let (events, _unknown) = crate::causal::parse_jsonl(text)?;
+        let (events, _unknown) = crate::event::parse_jsonl(text)?;
         Ok(ByzReport::from_events(&events))
     }
 

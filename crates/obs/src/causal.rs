@@ -32,7 +32,8 @@
 //!   absorbed, reconciled *exactly* (i128 arithmetic, zero drift
 //!   tolerated) against the auditor's ledgers: checkpoint-delimited delta
 //!   segments are matched against `GrainsVoided` rollbacks so only
-//!   durable movements count;
+//!   durable movements count, and the base and the drift/join terms come
+//!   from the shared [`Ledger`];
 //! * **influence matrix** — for every ordered pair `(i, j)`, whether
 //!   node `i`'s initial state causally reached node `j`, and the earliest
 //!   round marker (Lamport clock for unmarked traces) where it did;
@@ -48,11 +49,11 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
-use crate::analyze::AnalyzeOptions;
-use crate::event::{GrainOp, TraceEvent};
+use crate::event::{parse_jsonl, GrainOp, TraceEvent};
 use crate::json::{field, num, str as jstr, unum, Json, JsonError};
+use crate::ledger::{Ledger, NodeBooks};
 use crate::metrics::{Histogram, HistogramSnapshot, Metrics};
-use crate::telemetry::{TelemetrySample, TelemetrySeries};
+use crate::telemetry::{trajectory, ConvergenceRule};
 
 /// A message span id: `(origin node, origin incarnation, sequence)`.
 ///
@@ -106,7 +107,22 @@ struct Vertex {
     /// it spent on the wire plus the receiver's ingress queue. `None`
     /// for every other kind and for legacy traces.
     hop_us: Option<(u64, u64)>,
+    /// Deliveries, merges and returns: the span they name and the
+    /// cross-edge weight (1 per message hop, 0 for a return).
+    parent: Option<(ParentRef, u32)>,
     kind: VertexKind,
+}
+
+impl Vertex {
+    /// The span key this vertex mints, for sends and stamped splits.
+    fn minted(&self) -> Option<ParentRef> {
+        let (node, inc, seq) = self.span?;
+        match self.kind {
+            VertexKind::Send => Some(ParentRef::Msg(node, seq)),
+            VertexKind::Split => Some(ParentRef::Grain((node, inc, seq))),
+            _ => None,
+        }
+    }
 }
 
 /// One message hop on the convergence critical path.
@@ -162,7 +178,8 @@ pub struct NodeProvenance {
     pub node: usize,
     /// Outcome string from `peer_final`, when the trace carries one.
     pub outcome: Option<String>,
-    /// Grains minted to the node at start (`initial_grains / nodes`).
+    /// Grains minted to the node at start (`initial_grains / nodes`, 0
+    /// for a mid-run joiner).
     pub initial: u64,
     /// Durable (non-voided) grains absorbed, keyed by the origin node
     /// that split them away — "whose grains ended up here".
@@ -171,7 +188,8 @@ pub struct NodeProvenance {
     pub split: u128,
     /// Durable grains returned after abandoned retransmissions.
     pub returned: u128,
-    /// `initial + Σ absorbed + returned − split` in i128 (cannot wrap).
+    /// `initial + Σ absorbed + returned − split`, plus the durable net
+    /// drift and join terms, in i128 (cannot wrap).
     pub expected: i128,
     /// Grains held at shutdown, when a `peer_final` was recorded.
     pub final_grains: Option<u64>,
@@ -404,55 +422,6 @@ pub struct CausalReport {
 /// Largest matrix Display renders cell-by-cell; bigger runs summarize.
 const DISPLAY_MATRIX_MAX: usize = 16;
 
-/// Finds the file position and round marker of the earliest convergence
-/// point, mirroring the `analyze` replay's telemetry scan.
-fn convergence_position(
-    events: &[TraceEvent],
-    opts: &AnalyzeOptions,
-) -> (Option<usize>, Option<u64>) {
-    let mut round_samples: Vec<(usize, TelemetrySample)> = Vec::new();
-    let mut cluster_samples: Vec<(usize, TelemetrySample)> = Vec::new();
-    for (pos, ev) in events.iter().enumerate() {
-        match ev {
-            TraceEvent::Telemetry(sample) => round_samples.push((pos, sample.clone())),
-            TraceEvent::ClusterTelemetry {
-                live, dispersion, ..
-            } => {
-                let round = cluster_samples.len() as u64;
-                cluster_samples.push((
-                    pos,
-                    TelemetrySample {
-                        round,
-                        live: *live,
-                        classifications_mean: 0.0,
-                        classifications_max: 0,
-                        weight_spread: 0.0,
-                        mean_error: None,
-                        max_error: None,
-                        dispersion: dispersion.is_finite().then_some(*dispersion),
-                        unix_ms: None,
-                    },
-                ));
-            }
-            _ => {}
-        }
-    }
-    let chosen = if round_samples.is_empty() {
-        cluster_samples
-    } else {
-        round_samples
-    };
-    let mut prefix = TelemetrySeries::new();
-    for (pos, sample) in chosen {
-        let round = sample.round;
-        prefix.push(sample);
-        if prefix.converged(opts.window, opts.delta_tol, opts.level) {
-            return (Some(pos), Some(round));
-        }
-    }
-    (None, None)
-}
-
 /// The node count: what `cluster_started` declares, widened by any
 /// larger index the trace actually uses.
 fn node_count(events: &[TraceEvent]) -> usize {
@@ -477,39 +446,9 @@ fn node_count(events: &[TraceEvent]) -> usize {
     n
 }
 
-/// Parses a JSONL trace leniently: unknown event types are skipped and
-/// counted (second tuple element) instead of failing the parse, so traces
-/// written by newer builds still analyze.
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] naming the offending line on the first
-/// structurally malformed line.
-pub fn parse_jsonl(text: &str) -> Result<(Vec<TraceEvent>, usize), JsonError> {
-    let mut events = Vec::new();
-    let mut unknown = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match TraceEvent::from_json(line) {
-            Ok(ev) => events.push(ev),
-            Err(e) if e.message.contains("unknown event type") => unknown += 1,
-            Err(e) => {
-                return Err(JsonError {
-                    message: format!("trace line {}: {}", i + 1, e.message),
-                    offset: e.offset,
-                })
-            }
-        }
-    }
-    Ok((events, unknown))
-}
-
-/// A cross-edge child's reference to the span that caused it, resolved
-/// against the complete mint maps *after* the file walk — a trace whose
-/// sink reordered a send behind its delivery still links (and then fails
-/// the Lamport/cycle checks honestly instead of silently unmatching).
+/// A span key: what a send or split mints, and what a cross-edge child
+/// names as the span that caused it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ParentRef {
     /// A simulator message span `(from, seq)`.
     Msg(usize, u64),
@@ -536,20 +475,25 @@ fn fold_mask(reach: &mut [u64], snap: &[u64]) -> Vec<usize> {
 impl CausalReport {
     /// Rebuilds the happens-before DAG from a parsed event stream (in
     /// trace-file order) and derives the full report.
-    pub fn from_events(events: &[TraceEvent], opts: &AnalyzeOptions) -> CausalReport {
-        let (conv_pos, conv_round) = convergence_position(events, opts);
+    pub fn from_events(events: &[TraceEvent], rule: &ConvergenceRule) -> CausalReport {
+        // The convergence point caps the critical path: its file position
+        // and round marker.
+        let (series, positions) = trajectory(events);
+        let converged = rule.first_converged(&series.samples);
+        let conv_pos = converged.map(|i| positions[i]);
+        let conv_round = converged.map(|i| series.samples[i].round);
         let n = node_count(events);
         let words = n.div_ceil(64);
+        let Dag {
+            verts,
+            out,
+            program_edges,
+            cross_edges,
+            lamport_violations,
+            unmatched_parents,
+        } = Dag::build(events);
 
-        let mut initial_grains = 0u64;
-        let mut declared_nodes = 0usize;
-        let mut verts: Vec<Vertex> = Vec::new();
-        let mut out: Vec<Vec<(usize, u32)>> = Vec::new();
-        let mut last_on_node: HashMap<usize, usize> = HashMap::new();
-        // Span mint sites: simulator messages by (from, seq), runtime
-        // grain halves by the full (node, incarnation, seq) triple.
-        let mut msg_spans: HashMap<(usize, u64), usize> = HashMap::new();
-        let mut grain_spans: HashMap<SpanId, usize> = HashMap::new();
+        let mut ledger = Ledger::default();
         // Influence: per-node reach masks, snapshotted at every mint so a
         // delivery absorbs exactly what the sender knew *at send time*.
         let mut reach: Vec<Vec<u64>> = (0..n)
@@ -559,8 +503,7 @@ impl CausalReport {
                 m
             })
             .collect();
-        let mut snap_msg: HashMap<(usize, u64), Vec<u64>> = HashMap::new();
-        let mut snap_grain: HashMap<SpanId, Vec<u64>> = HashMap::new();
+        let mut snaps: HashMap<ParentRef, Vec<u64>> = HashMap::new();
         let mut earliest: Vec<Vec<Option<u64>>> = vec![vec![None; n]; n];
         for (i, row) in earliest.iter_mut().enumerate() {
             row[i] = Some(0);
@@ -568,116 +511,23 @@ impl CausalReport {
         // Provenance: checkpoint-delimited delta segments per
         // (node, incarnation); the last entry is the open tail.
         let mut segments: HashMap<(usize, u16), Vec<Segment>> = HashMap::new();
-        let mut finals: BTreeMap<usize, (String, u64)> = BTreeMap::new();
 
-        let mut program_edges = 0usize;
-        let mut cross_edges = 0usize;
-        let mut lamport_violations = 0usize;
-        let mut unmatched_parents = 0usize;
         let mut unmatched_voids = 0usize;
         let mut checkpoint_mismatches: Vec<(usize, u16)> = Vec::new();
         let mut truncated: Option<u64> = None;
         let mut marker: Option<u64> = None;
         let mut cluster_marker = 0u64;
-
-        // Adds a vertex plus its program-order edge, checking clock
-        // monotonicity along the node's own timeline.
-        let mut add_vertex = |verts: &mut Vec<Vertex>,
-                              out: &mut Vec<Vec<(usize, u32)>>,
-                              violations: &mut usize,
-                              pedges: &mut usize,
-                              v: Vertex|
-         -> usize {
-            let id = verts.len();
-            if let Some(&prev) = last_on_node.get(&v.node) {
-                if verts[prev].lamport >= v.lamport {
-                    *violations += 1;
-                }
-                out[prev].push((id, 0));
-                *pedges += 1;
-            }
-            last_on_node.insert(v.node, id);
-            verts.push(v);
-            out.push(Vec::new());
-            id
-        };
-        // Cross edges are collected as (child, parent span, weight) and
-        // resolved after the walk, once every mint site is known.
-        let mut pending_cross: Vec<(usize, ParentRef, u32)> = Vec::new();
+        // Vertices are in file order; `next` walks them alongside.
+        let mut next = verts.iter().peekable();
 
         for (pos, ev) in events.iter().enumerate() {
+            ledger.record(ev);
             match ev {
-                TraceEvent::ClusterStarted {
-                    nodes,
-                    initial_grains: g,
-                } => {
-                    declared_nodes = *nodes;
-                    initial_grains = *g;
-                }
                 TraceEvent::RoundCompleted { round, .. } => marker = Some(*round),
                 TraceEvent::Telemetry(sample) => marker = Some(sample.round),
                 TraceEvent::ClusterTelemetry { .. } => {
                     marker = Some(cluster_marker);
                     cluster_marker += 1;
-                }
-                TraceEvent::MessageSent {
-                    from,
-                    to: _,
-                    at,
-                    lamport: Some(l),
-                    seq: Some(q),
-                    ..
-                } => {
-                    let span = (*from, 0u64, *q);
-                    let id = add_vertex(
-                        &mut verts,
-                        &mut out,
-                        &mut lamport_violations,
-                        &mut program_edges,
-                        Vertex {
-                            node: *from,
-                            lamport: *l,
-                            pos,
-                            at: Some(*at),
-                            span: Some(span),
-                            hop_us: None,
-                            kind: VertexKind::Send,
-                        },
-                    );
-                    msg_spans.insert((*from, *q), id);
-                    snap_msg.insert((*from, *q), reach[*from].clone());
-                }
-                TraceEvent::MessageDelivered {
-                    from,
-                    to,
-                    at,
-                    lamport: Some(l),
-                    span_seq: Some(q),
-                    ..
-                } => {
-                    let id = add_vertex(
-                        &mut verts,
-                        &mut out,
-                        &mut lamport_violations,
-                        &mut program_edges,
-                        Vertex {
-                            node: *to,
-                            lamport: *l,
-                            pos,
-                            at: Some(*at),
-                            span: None,
-                            hop_us: None,
-                            kind: VertexKind::Deliver,
-                        },
-                    );
-                    pending_cross.push((id, ParentRef::Msg(*from, *q), 1));
-                    if let Some(snap) = snap_msg.get(&(*from, *q)) {
-                        for origin in fold_mask(&mut reach[*to], snap) {
-                            if earliest[origin][*to].is_none() {
-                                earliest[origin][*to] = Some(marker.unwrap_or(*l));
-                            }
-                        }
-                    }
                 }
                 TraceEvent::GrainDelta {
                     node,
@@ -685,12 +535,7 @@ impl CausalReport {
                     op,
                     grains,
                     peer,
-                    lamport,
-                    seq,
-                    span_inc,
-                    span_seq,
-                    wait_us,
-                    transit_us,
+                    ..
                 } => {
                     // Provenance bookkeeping happens regardless of the
                     // causal stamps, so legacy traces still reconcile.
@@ -707,62 +552,6 @@ impl CausalReport {
                             *seg.by_src.entry(*peer).or_default() += u128::from(*grains);
                         }
                         GrainOp::Return => seg.returned += grains,
-                    }
-
-                    let Some(l) = lamport else { continue };
-                    let id = add_vertex(
-                        &mut verts,
-                        &mut out,
-                        &mut lamport_violations,
-                        &mut program_edges,
-                        Vertex {
-                            node: *node,
-                            lamport: *l,
-                            pos,
-                            at: None,
-                            span: seq.map(|q| (*node, u64::from(*incarnation), q)),
-                            hop_us: wait_us.zip(*transit_us),
-                            kind: match op {
-                                GrainOp::Split => VertexKind::Split,
-                                GrainOp::Merge => VertexKind::Merge,
-                                GrainOp::Return => VertexKind::Return,
-                            },
-                        },
-                    );
-                    match op {
-                        GrainOp::Split => {
-                            if let Some(q) = seq {
-                                let span = (*node, u64::from(*incarnation), *q);
-                                grain_spans.insert(span, id);
-                                snap_grain.insert(span, reach[*node].clone());
-                            }
-                        }
-                        GrainOp::Merge => {
-                            // The parent is the *sender's* split.
-                            let Some(span) = span_inc.zip(*span_seq).map(|(i, q)| (*peer, i, q))
-                            else {
-                                unmatched_parents += 1;
-                                continue;
-                            };
-                            pending_cross.push((id, ParentRef::Grain(span), 1));
-                            if let Some(snap) = snap_grain.get(&span) {
-                                for origin in fold_mask(&mut reach[*node], snap) {
-                                    if earliest[origin][*node].is_none() {
-                                        earliest[origin][*node] = Some(marker.unwrap_or(*l));
-                                    }
-                                }
-                            }
-                        }
-                        GrainOp::Return => {
-                            // The parent is this node's own earlier
-                            // split — a timeout, not a message hop.
-                            let Some(span) = span_inc.zip(*span_seq).map(|(i, q)| (*node, i, q))
-                            else {
-                                unmatched_parents += 1;
-                                continue;
-                            };
-                            pending_cross.push((id, ParentRef::Grain(span), 0));
-                        }
                     }
                 }
                 TraceEvent::PeerCheckpoint {
@@ -795,50 +584,45 @@ impl CausalReport {
                     returned,
                     ..
                 } => {
-                    if *split == 0 && *merged == 0 && *returned == 0 {
-                        continue; // nothing to attribute
-                    }
                     // Attribute the rollback to the earliest unvoided
                     // segment with exactly matching sums: the open tail
                     // for a crash before flush, a closed segment for a
-                    // stale checkpoint the supervisor refused.
-                    let segs = segments.entry((*node, *incarnation)).or_default();
-                    match segs.iter_mut().find(|s| {
-                        !s.voided && (s.split, s.merged, s.returned) == (*split, *merged, *returned)
-                    }) {
-                        Some(seg) => seg.voided = true,
-                        None => unmatched_voids += 1,
+                    // stale checkpoint the supervisor refused. A void
+                    // with no wire terms has nothing to attribute.
+                    let sums = (*split, *merged, *returned);
+                    if sums != (0, 0, 0) {
+                        let segs = segments.entry((*node, *incarnation)).or_default();
+                        match segs
+                            .iter_mut()
+                            .find(|s| !s.voided && (s.split, s.merged, s.returned) == sums)
+                        {
+                            Some(seg) => seg.voided = true,
+                            None => unmatched_voids += 1,
+                        }
                     }
-                }
-                TraceEvent::PeerFinal {
-                    node,
-                    outcome,
-                    grains,
-                } => {
-                    finals.insert(*node, (outcome.clone(), *grains));
                 }
                 TraceEvent::TraceTruncated { bytes_written } => {
                     truncated = Some(*bytes_written);
                 }
                 _ => {}
             }
-        }
-
-        // ---- Resolve cross edges against the complete mint maps ----
-        for (child, parent, weight) in pending_cross {
-            let resolved = match parent {
-                ParentRef::Msg(from, q) => msg_spans.get(&(from, q)),
-                ParentRef::Grain(span) => grain_spans.get(&span),
+            // Influence rides the causal stamps: mints snapshot the
+            // sender's reach, deliveries and merges fold it in.
+            let Some(v) = next.next_if(|v| v.pos == pos) else {
+                continue;
             };
-            match resolved {
-                Some(&p) => {
-                    if verts[p].lamport >= verts[child].lamport {
-                        lamport_violations += 1;
+            if let Some(key) = v.minted() {
+                snaps.insert(key, reach[v.node].clone());
+            }
+            if let (Some((parent, _)), VertexKind::Deliver | VertexKind::Merge) = (v.parent, v.kind)
+            {
+                if let Some(snap) = snaps.get(&parent) {
+                    for origin in fold_mask(&mut reach[v.node], snap) {
+                        if earliest[origin][v.node].is_none() {
+                            earliest[origin][v.node] = Some(marker.unwrap_or(v.lamport));
+                        }
                     }
-                    out[p].push((child, weight));
-                    cross_edges += 1;
                 }
-                None => unmatched_parents += 1,
             }
         }
 
@@ -949,15 +733,19 @@ impl CausalReport {
         };
 
         // ---- Provenance: durable movements only, i128-exact ----
-        let per_node_initial = if declared_nodes > 0 {
-            initial_grains / declared_nodes as u64
-        } else {
-            0
-        };
+        // Wire movements come from the unvoided segments, attributed per
+        // origin; the base and the net dynamic terms (drift re-reads and
+        // join units, less voided drift) come from the shared ledger.
         let mut touched: Vec<usize> = segments
             .keys()
             .map(|&(node, _)| node)
-            .chain(finals.keys().copied())
+            .chain(
+                ledger
+                    .books
+                    .iter()
+                    .filter(|(_, b)| b.outcome.is_some())
+                    .map(|(&node, _)| node),
+            )
             .collect();
         touched.sort_unstable();
         touched.dedup();
@@ -976,12 +764,12 @@ impl CausalReport {
                     }
                 }
             }
-            let expected =
-                i128::from(per_node_initial) + merged as i128 + returned as i128 - split as i128;
-            let (outcome, final_grains) = match finals.get(&node) {
-                Some((o, g)) => (Some(o.clone()), Some(*g)),
-                None => (None, None),
-            };
+            let books = ledger.books.get(&node);
+            let initial = ledger.base(node);
+            let expected = i128::from(initial) + merged as i128 + returned as i128 - split as i128
+                + books.map_or(0, NodeBooks::durable_dynamic);
+            let outcome = books.and_then(|b| b.outcome.clone());
+            let final_grains = books.and_then(|b| b.final_grains);
             let drift = match (&outcome, final_grains) {
                 (Some(o), Some(g)) if o == "completed" => {
                     let d = i128::from(g) - expected;
@@ -998,7 +786,7 @@ impl CausalReport {
             provenance.push(NodeProvenance {
                 node,
                 outcome,
-                initial: per_node_initial,
+                initial,
                 absorbed,
                 split,
                 returned,
@@ -1070,9 +858,9 @@ impl CausalReport {
     ///
     /// Returns a [`JsonError`] naming the offending line on the first
     /// malformed line.
-    pub fn from_jsonl(text: &str, opts: &AnalyzeOptions) -> Result<CausalReport, JsonError> {
+    pub fn from_jsonl(text: &str, rule: &ConvergenceRule) -> Result<CausalReport, JsonError> {
         let (events, unknown) = parse_jsonl(text)?;
-        let mut report = CausalReport::from_events(&events, opts);
+        let mut report = CausalReport::from_events(&events, rule);
         if unknown > 0 {
             report.unknown_events = unknown;
             report
@@ -1244,10 +1032,10 @@ impl CausalReport {
     ///
     /// Rebuilds the vertex/edge structure from the same event slice the
     /// report was derived from (the report itself keeps only aggregates).
-    pub fn to_dot(events: &[TraceEvent], opts: &AnalyzeOptions) -> String {
+    pub fn to_dot(events: &[TraceEvent]) -> String {
         // Reuse the exact construction path so the picture matches the
         // report, then walk the structure into DOT.
-        let dag = Dag::build(events, opts);
+        let dag = Dag::build(events);
         let mut s = String::from("digraph causal {\n  rankdir=LR;\n  node [shape=box];\n");
         for (i, v) in dag.verts.iter().enumerate() {
             let span = v
@@ -1276,60 +1064,52 @@ impl CausalReport {
     }
 }
 
-/// The bare vertex/edge structure, shared between the report builder and
-/// the DOT renderer.
+/// The happens-before structure — vertices in file order, program and
+/// cross edges — and the health counts found building it. The report
+/// and the DOT renderer share this one construction.
 struct Dag {
     verts: Vec<Vertex>,
     out: Vec<Vec<(usize, u32)>>,
+    program_edges: usize,
+    cross_edges: usize,
+    /// Edges whose Lamport clocks do not strictly increase.
+    lamport_violations: usize,
+    /// Children naming no span, or a span nothing minted.
+    unmatched_parents: usize,
 }
 
 impl Dag {
-    fn build(events: &[TraceEvent], opts: &AnalyzeOptions) -> Dag {
-        // Building the full report and discarding the aggregates keeps
-        // one construction path; traces are offline artifacts, so the
-        // duplicated walk is fine.
-        let _ = opts;
-        let mut verts = Vec::new();
-        let mut out: Vec<Vec<(usize, u32)>> = Vec::new();
+    fn build(events: &[TraceEvent]) -> Dag {
+        let mut dag = Dag {
+            verts: Vec::new(),
+            out: Vec::new(),
+            program_edges: 0,
+            cross_edges: 0,
+            lamport_violations: 0,
+            unmatched_parents: 0,
+        };
         let mut last_on_node: HashMap<usize, usize> = HashMap::new();
-        let mut msg_spans: HashMap<(usize, u64), usize> = HashMap::new();
-        let mut grain_spans: HashMap<SpanId, usize> = HashMap::new();
-        let mut pending: Vec<(usize, ParentRef, u32)> = Vec::new();
-        let mut push =
-            |verts: &mut Vec<Vertex>, out: &mut Vec<Vec<(usize, u32)>>, v: Vertex| -> usize {
-                let id = verts.len();
-                if let Some(&prev) = last_on_node.get(&v.node) {
-                    out[prev].push((id, 0));
-                }
-                last_on_node.insert(v.node, id);
-                verts.push(v);
-                out.push(Vec::new());
-                id
-            };
+        // Span mint sites: simulator messages by (from, seq), runtime
+        // grain halves by the full (node, incarnation, seq) triple.
+        let mut minted: HashMap<ParentRef, usize> = HashMap::new();
         for (pos, ev) in events.iter().enumerate() {
-            match ev {
+            let v = match ev {
                 TraceEvent::MessageSent {
                     from,
                     at,
                     lamport: Some(l),
                     seq: Some(q),
                     ..
-                } => {
-                    let id = push(
-                        &mut verts,
-                        &mut out,
-                        Vertex {
-                            node: *from,
-                            lamport: *l,
-                            pos,
-                            at: Some(*at),
-                            span: Some((*from, 0, *q)),
-                            hop_us: None,
-                            kind: VertexKind::Send,
-                        },
-                    );
-                    msg_spans.insert((*from, *q), id);
-                }
+                } => Vertex {
+                    node: *from,
+                    lamport: *l,
+                    pos,
+                    at: Some(*at),
+                    span: Some((*from, 0, *q)),
+                    hop_us: None,
+                    parent: None,
+                    kind: VertexKind::Send,
+                },
                 TraceEvent::MessageDelivered {
                     from,
                     to,
@@ -1337,22 +1117,16 @@ impl Dag {
                     lamport: Some(l),
                     span_seq: Some(q),
                     ..
-                } => {
-                    let id = push(
-                        &mut verts,
-                        &mut out,
-                        Vertex {
-                            node: *to,
-                            lamport: *l,
-                            pos,
-                            at: Some(*at),
-                            span: None,
-                            hop_us: None,
-                            kind: VertexKind::Deliver,
-                        },
-                    );
-                    pending.push((id, ParentRef::Msg(*from, *q), 1));
-                }
+                } => Vertex {
+                    node: *to,
+                    lamport: *l,
+                    pos,
+                    at: Some(*at),
+                    span: None,
+                    hop_us: None,
+                    parent: Some((ParentRef::Msg(*from, *q), 1)),
+                    kind: VertexKind::Deliver,
+                },
                 TraceEvent::GrainDelta {
                     node,
                     incarnation,
@@ -1362,58 +1136,73 @@ impl Dag {
                     seq,
                     span_inc,
                     span_seq,
+                    wait_us,
+                    transit_us,
                     ..
                 } => {
-                    let id = push(
-                        &mut verts,
-                        &mut out,
-                        Vertex {
-                            node: *node,
-                            lamport: *l,
-                            pos,
-                            at: None,
-                            span: seq.map(|q| (*node, u64::from(*incarnation), q)),
-                            hop_us: None,
-                            kind: match op {
-                                GrainOp::Split => VertexKind::Split,
-                                GrainOp::Merge => VertexKind::Merge,
-                                GrainOp::Return => VertexKind::Return,
-                            },
-                        },
-                    );
-                    match op {
-                        GrainOp::Split => {
-                            if let Some(q) = seq {
-                                grain_spans.insert((*node, u64::from(*incarnation), *q), id);
-                            }
+                    // A merge's parent is the *sender's* split; a
+                    // return's is this node's own earlier split — a
+                    // timeout, not a message hop.
+                    let (kind, parent) = match op {
+                        GrainOp::Split => (VertexKind::Split, None),
+                        GrainOp::Merge => (VertexKind::Merge, Some((*peer, 1))),
+                        GrainOp::Return => (VertexKind::Return, Some((*node, 0))),
+                    };
+                    let parent = parent.and_then(|(origin, weight)| {
+                        let span = span_inc.zip(*span_seq);
+                        if span.is_none() {
+                            dag.unmatched_parents += 1;
                         }
-                        GrainOp::Merge => {
-                            if let Some(span) = span_inc.zip(*span_seq).map(|(i, q)| (*peer, i, q))
-                            {
-                                pending.push((id, ParentRef::Grain(span), 1));
-                            }
-                        }
-                        GrainOp::Return => {
-                            if let Some(span) = span_inc.zip(*span_seq).map(|(i, q)| (*node, i, q))
-                            {
-                                pending.push((id, ParentRef::Grain(span), 0));
-                            }
-                        }
+                        span.map(|(i, q)| (ParentRef::Grain((origin, i, q)), weight))
+                    });
+                    Vertex {
+                        node: *node,
+                        lamport: *l,
+                        pos,
+                        at: None,
+                        span: seq.map(|q| (*node, u64::from(*incarnation), q)),
+                        hop_us: wait_us.zip(*transit_us),
+                        parent,
+                        kind,
                     }
                 }
-                _ => {}
-            }
-        }
-        for (child, parent, weight) in pending {
-            let resolved = match parent {
-                ParentRef::Msg(from, q) => msg_spans.get(&(from, q)),
-                ParentRef::Grain(span) => grain_spans.get(&span),
+                _ => continue,
             };
-            if let Some(&p) = resolved {
-                out[p].push((child, weight));
+            // Program edge from the node's previous event, checking clock
+            // monotonicity along its own timeline.
+            let id = dag.verts.len();
+            if let Some(prev) = last_on_node.insert(v.node, id) {
+                if dag.verts[prev].lamport >= v.lamport {
+                    dag.lamport_violations += 1;
+                }
+                dag.out[prev].push((id, 0));
+                dag.program_edges += 1;
+            }
+            if let Some(key) = v.minted() {
+                minted.insert(key, id);
+            }
+            dag.verts.push(v);
+            dag.out.push(Vec::new());
+        }
+        // Cross edges resolve against the complete mint map, so a trace
+        // whose sink reordered a send behind its delivery still links
+        // (and then fails the Lamport/cycle checks honestly).
+        for child in 0..dag.verts.len() {
+            let Some((parent, weight)) = dag.verts[child].parent else {
+                continue;
+            };
+            match minted.get(&parent) {
+                Some(&p) => {
+                    if dag.verts[p].lamport >= dag.verts[child].lamport {
+                        dag.lamport_violations += 1;
+                    }
+                    dag.out[p].push((child, weight));
+                    dag.cross_edges += 1;
+                }
+                None => dag.unmatched_parents += 1,
             }
         }
-        Dag { verts, out }
+        dag
     }
 }
 
@@ -1566,6 +1355,7 @@ impl fmt::Display for CausalReport {
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
+    use crate::telemetry::TelemetrySample;
 
     fn sent(from: usize, to: usize, at: f64, lamport: u64, seq: u64) -> TraceEvent {
         TraceEvent::MessageSent {
@@ -1669,7 +1459,7 @@ mod tests {
 
     #[test]
     fn relay_dag_is_acyclic_with_two_hop_critical_path() {
-        let report = CausalReport::from_events(&relay(), &AnalyzeOptions::default());
+        let report = CausalReport::from_events(&relay(), &ConvergenceRule::TRACE_REPORT);
         assert!(report.acyclic);
         assert_eq!(report.causal_events, 4);
         assert_eq!(report.lamport_violations, 0);
@@ -1700,7 +1490,7 @@ mod tests {
             split(0, 0, 100, 1, 1, 1),
             merge_timed(1, 100, 0, 2, 1, 1_500, 2_500),
         ];
-        let report = CausalReport::from_events(&events, &AnalyzeOptions::default());
+        let report = CausalReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         let hop = report
             .critical_path
             .hops
@@ -1728,7 +1518,7 @@ mod tests {
                 dropped: 0,
             },
         );
-        let report = CausalReport::from_events(&events, &AnalyzeOptions::default());
+        let report = CausalReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         let inf = &report.influence;
         assert!(inf.reached(0, 1));
         assert!(inf.reached(0, 2), "influence must be transitive");
@@ -1750,7 +1540,7 @@ mod tests {
             delivered(2, 0, 0.5, 2, 7), // unmatched: span (2,7) never sent
             delivered(0, 1, 1.0, 2, 1),
         ];
-        let report = CausalReport::from_events(&events, &AnalyzeOptions::default());
+        let report = CausalReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         // The delivery of (0,1) folds 0's snapshot from *before* node 2
         // could have influenced node 0 — and the (2,7) parent is
         // unmatched anyway.
@@ -1794,7 +1584,7 @@ mod tests {
                 grains: 1300,
             },
         ];
-        let report = CausalReport::from_events(&events, &AnalyzeOptions::default());
+        let report = CausalReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert!(report.acyclic);
         assert_eq!(report.cross_edges, 1);
         assert!(report.provenance_exact, "{:?}", report.anomalies);
@@ -1851,7 +1641,7 @@ mod tests {
                 grains: 1000,
             },
         ];
-        let report = CausalReport::from_events(&events, &AnalyzeOptions::default());
+        let report = CausalReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert!(report.provenance_exact, "{:?}", report.anomalies);
         let p1 = report.provenance.iter().find(|p| p.node == 1).unwrap();
         assert!(p1.absorbed.is_empty(), "voided merge must not count");
@@ -1889,7 +1679,7 @@ mod tests {
                 grains: 690, // 10 grains unaccounted
             },
         ];
-        let report = CausalReport::from_events(&events, &AnalyzeOptions::default());
+        let report = CausalReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert!(!report.provenance_exact);
         assert_eq!(report.unmatched_voids, 1);
         assert!(report.anomalies.iter().any(|a| matches!(
@@ -1905,6 +1695,67 @@ mod tests {
             .any(|a| matches!(a, CausalAnomaly::UnmatchedVoids { count: 1 })));
     }
 
+    /// Provenance closes through the dynamic terms: drift re-reads, a
+    /// crash that voids a re-read along with its batch, and a joiner
+    /// whose unit differs from the per-node share (its base is 0).
+    #[test]
+    fn provenance_reconciles_drift_voids_and_joins() {
+        let drift = |node: usize, incarnation: u16, injected: u64, forgotten: u64| {
+            TraceEvent::SensorDrift {
+                node,
+                incarnation,
+                injected,
+                forgotten,
+                tick: 3,
+            }
+        };
+        let done = |node: usize, grains: u64| TraceEvent::PeerFinal {
+            node,
+            outcome: "completed".to_string(),
+            grains,
+        };
+        let events = vec![
+            TraceEvent::ClusterStarted {
+                nodes: 2,
+                initial_grains: 2000,
+            },
+            TraceEvent::PeerJoined {
+                node: 2,
+                grains: 1500,
+                at: 0.1,
+            },
+            split(0, 0, 300, 2, 1, 1),
+            merge(2, 0, 300, 0, 2, 0, 1),
+            // Node 1 re-reads, sends, then crashes before flushing: the
+            // batch and the re-read are voided together.
+            drift(1, 0, 1000, 400),
+            split(1, 0, 50, 0, 1, 1),
+            TraceEvent::GrainsVoided {
+                node: 1,
+                incarnation: 0,
+                split: 50,
+                merged: 0,
+                returned: 0,
+                injected: 1000,
+                forgotten: 400,
+            },
+            // Its next incarnation re-reads durably.
+            drift(1, 1, 1000, 500),
+            done(0, 700),
+            done(1, 1000 + 1000 - 500),
+            done(2, 1500 + 300),
+        ];
+        let report = CausalReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
+        assert!(report.clean(), "{:?}", report.anomalies);
+        assert!(report.provenance_exact);
+        for p in &report.provenance {
+            assert_eq!(p.drift, Some(0), "node {}: {p:?}", p.node);
+        }
+        let joiner = report.provenance.iter().find(|p| p.node == 2).unwrap();
+        assert_eq!(joiner.initial, 0, "a joiner is minted nothing at start");
+        assert_eq!(joiner.absorbed.get(&0), Some(&300u128));
+    }
+
     #[test]
     fn checkpoint_mismatch_is_flagged() {
         let events = vec![
@@ -1917,7 +1768,7 @@ mod tests {
                 returned: 0,
             },
         ];
-        let report = CausalReport::from_events(&events, &AnalyzeOptions::default());
+        let report = CausalReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert!(report.anomalies.iter().any(|a| matches!(
             a,
             CausalAnomaly::CheckpointMismatch {
@@ -1934,7 +1785,7 @@ mod tests {
             sent(0, 1, 0.0, 5, 1),
             sent(0, 1, 1.0, 3, 2), // clock went backwards on node 0
         ];
-        let report = CausalReport::from_events(&events, &AnalyzeOptions::default());
+        let report = CausalReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert_eq!(report.lamport_violations, 1);
         assert!(report
             .anomalies
@@ -1955,7 +1806,7 @@ mod tests {
             delivered(0, 1, 1.0, 12, 1),
             sent(1, 0, 1.0, 13, 1),
         ];
-        let report = CausalReport::from_events(&events, &AnalyzeOptions::default());
+        let report = CausalReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert!(!report.acyclic);
         assert!(report
             .anomalies
@@ -1988,7 +1839,7 @@ mod tests {
             sent(1, 0, 2.0, 3, 1),
             delivered(1, 0, 3.0, 4, 1),
         ];
-        let opts = AnalyzeOptions {
+        let opts = ConvergenceRule {
             window: 2,
             delta_tol: 1e-2,
             level: 0.05,
@@ -2001,7 +1852,7 @@ mod tests {
 
     #[test]
     fn clock_skew_and_depth_histogram_export_to_registry() {
-        let report = CausalReport::from_events(&relay(), &AnalyzeOptions::default());
+        let report = CausalReport::from_events(&relay(), &ConvergenceRule::TRACE_REPORT);
         // Final clocks: node 0 -> 1, node 1 -> 3, node 2 -> 4.
         assert_eq!(report.clock_skew, 3);
         assert_eq!(report.depth.count, 4);
@@ -2042,7 +1893,7 @@ mod tests {
                 span_seq: None,
             },
         ];
-        let report = CausalReport::from_events(&events, &AnalyzeOptions::default());
+        let report = CausalReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert_eq!(report.causal_events, 0);
         assert!(report.acyclic);
         assert!(report.clean(), "{:?}", report.anomalies);
@@ -2057,7 +1908,8 @@ mod tests {
             .chain(["{\"type\":\"tachyon_burst\"}".to_string()])
             .collect::<Vec<_>>()
             .join("\n");
-        let report = CausalReport::from_jsonl(&text, &AnalyzeOptions::default()).expect("parses");
+        let report =
+            CausalReport::from_jsonl(&text, &ConvergenceRule::TRACE_REPORT).expect("parses");
         assert_eq!(report.unknown_events, 1);
         assert_eq!(report.critical_path.depth, 2);
         assert!(!report.clean());
@@ -2068,7 +1920,7 @@ mod tests {
 
     #[test]
     fn dot_export_names_every_vertex_and_hop() {
-        let dot = CausalReport::to_dot(&relay(), &AnalyzeOptions::default());
+        let dot = CausalReport::to_dot(&relay());
         assert!(dot.starts_with("digraph causal {"), "{dot}");
         assert!(dot.contains("n0@1 send (0,0,1)"), "{dot}");
         assert!(dot.contains("style=dotted"), "program edges dotted: {dot}");
@@ -2087,7 +1939,7 @@ mod tests {
         events.push(TraceEvent::TraceTruncated {
             bytes_written: 4096,
         });
-        let report = CausalReport::from_events(&events, &AnalyzeOptions::default());
+        let report = CausalReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert!(report.anomalies.iter().any(|a| matches!(
             a,
             CausalAnomaly::TraceTruncated {

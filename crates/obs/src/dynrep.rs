@@ -10,12 +10,13 @@
 //!
 //! * **episode timeline** — `cluster_telemetry` samples are replayed
 //!   into a [`TelemetrySeries`] (elapsed milliseconds as the round axis)
-//!   and segmented by [`TelemetrySeries::episodes`] into converged →
+//!   and segmented by [`ConvergenceRule::episodes`] into converged →
 //!   perturbed → re-converged episodes with per-episode settle times.
 //! * **perturbation ledger** — `sensor_drift`, `peer_joined` and
-//!   `peer_retired` events are the scripted dynamics; `grains_voided`
-//!   events carry the drift terms rolled back by crash–restarts.
-//! * **reconciliation** — the net traced injection
+//!   `peer_retired` events are the scripted dynamics; the trace is
+//!   folded through the shared [`Ledger`], whose `grains_voided` terms
+//!   carry the drift rolled back by crash–restarts.
+//! * **reconciliation** — the ledger's net injection
 //!   (`drift injected + join units − voided injected`) and forgetting
 //!   (`drift forgotten − voided forgotten`) must equal what the grain
 //!   auditor settled in `audit_summary`, to the grain. A mismatch, a
@@ -29,31 +30,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::event::TraceEvent;
+use crate::event::{parse_jsonl, TraceEvent};
 use crate::json::{field, num, str as jstr, unum, Json, JsonError};
-use crate::telemetry::{Episode, TelemetrySample, TelemetrySeries};
-
-/// Tuning for the episode segmentation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DynOptions {
-    /// Samples that must satisfy the flat-low-tail rule to declare the
-    /// converged regime (see [`TelemetrySeries::converged`]).
-    pub window: usize,
-    /// Maximum dispersion delta between consecutive in-window samples.
-    pub delta_tol: f64,
-    /// Dispersion level bounding the converged regime.
-    pub level: f64,
-}
-
-impl Default for DynOptions {
-    fn default() -> Self {
-        DynOptions {
-            window: 3,
-            delta_tol: 1e-3,
-            level: 1e-2,
-        }
-    }
-}
+use crate::ledger::{AuditVerdict, Ledger};
+use crate::telemetry::{ConvergenceRule, Episode, TelemetrySample, TelemetrySeries};
 
 /// One scripted churn event as the trace recorded it.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,9 +137,9 @@ pub struct DynReport {
     pub retirements: Vec<ChurnRecord>,
     /// Per-node sensor staleness.
     pub staleness: BTreeMap<usize, Staleness>,
-    /// The auditor's `(injected, forgotten, conserved)`, when the run
-    /// carried an `audit_summary`.
-    pub audit: Option<(u64, u64, bool)>,
+    /// The auditor's settled verdict, when the run carried an
+    /// `audit_summary`.
+    pub audit: Option<AuditVerdict>,
     /// Final outcome → node count (`"completed"`, `"retired"`, …).
     pub outcomes: BTreeMap<String, usize>,
     /// Red flags; any fails the gate.
@@ -172,122 +152,96 @@ impl DynReport {
     ///
     /// # Errors
     ///
-    /// [`JsonError`] naming the offending line, as for
-    /// [`crate::analyze::TraceReport::from_jsonl`].
-    pub fn from_jsonl(text: &str, opts: &DynOptions) -> Result<DynReport, JsonError> {
-        let (events, _unknown) = crate::causal::parse_jsonl(text)?;
-        Ok(DynReport::from_events(&events, opts))
+    /// [`JsonError`] naming the offending line, as for [`parse_jsonl`].
+    pub fn from_jsonl(text: &str, rule: &ConvergenceRule) -> Result<DynReport, JsonError> {
+        let (events, _unknown) = parse_jsonl(text)?;
+        Ok(DynReport::from_events(&events, rule))
     }
 
     /// Replays a stream of events (in file order) into a report.
-    pub fn from_events(events: &[TraceEvent], opts: &DynOptions) -> DynReport {
-        let mut report = DynReport {
-            events: events.len(),
-            nodes: 0,
-            samples: 0,
-            episodes: Vec::new(),
-            drift_events: 0,
-            drift_injected: 0,
-            drift_forgotten: 0,
-            voided_injected: 0,
-            voided_forgotten: 0,
-            joins: Vec::new(),
-            retirements: Vec::new(),
-            staleness: BTreeMap::new(),
-            audit: None,
-            outcomes: BTreeMap::new(),
-            anomalies: Vec::new(),
-        };
+    pub fn from_events(events: &[TraceEvent], rule: &ConvergenceRule) -> DynReport {
+        let mut ledger = Ledger::default();
         let mut series = TelemetrySeries::new();
+        let mut drift_events = 0u64;
+        let mut staleness: BTreeMap<usize, Staleness> = BTreeMap::new();
+        let (mut joins, mut retirements) = (Vec::new(), Vec::new());
         for ev in events {
+            ledger.record(ev);
             match ev {
-                TraceEvent::ClusterStarted { nodes, .. } => report.nodes = *nodes,
                 TraceEvent::ClusterTelemetry {
                     elapsed_ms,
                     live,
                     dispersion,
                     unix_ms,
-                } => series.push(TelemetrySample {
-                    round: *elapsed_ms as u64,
-                    live: *live,
-                    classifications_mean: 0.0,
-                    classifications_max: 0,
-                    weight_spread: 0.0,
-                    mean_error: None,
-                    max_error: None,
-                    dispersion: Some(*dispersion),
-                    unix_ms: *unix_ms,
-                }),
-                TraceEvent::SensorDrift {
-                    node,
-                    injected,
-                    forgotten,
-                    tick,
-                    ..
-                } => {
-                    report.drift_events += 1;
-                    report.drift_injected += injected;
-                    report.drift_forgotten += forgotten;
-                    let s = report.staleness.entry(*node).or_default();
+                } => series.push(TelemetrySample::from_cluster(
+                    *elapsed_ms as u64,
+                    *live,
+                    *dispersion,
+                    *unix_ms,
+                )),
+                TraceEvent::SensorDrift { node, tick, .. } => {
+                    drift_events += 1;
+                    let s = staleness.entry(*node).or_default();
                     s.re_reads += 1;
                     s.last_tick = s.last_tick.max(*tick);
                 }
-                TraceEvent::GrainsVoided {
-                    injected,
-                    forgotten,
-                    ..
-                } => {
-                    report.voided_injected += injected;
-                    report.voided_forgotten += forgotten;
-                }
-                TraceEvent::PeerJoined { node, grains, at } => report.joins.push(ChurnRecord {
+                TraceEvent::PeerJoined { node, grains, at } => joins.push(ChurnRecord {
                     node: *node,
                     grains: *grains,
                     at: *at,
                 }),
-                TraceEvent::PeerRetired { node, grains, at } => {
-                    report.retirements.push(ChurnRecord {
-                        node: *node,
-                        grains: *grains,
-                        at: *at,
-                    })
-                }
-                TraceEvent::AuditSummary {
-                    injected,
-                    forgotten,
-                    conserved,
-                    ..
-                } => report.audit = Some((*injected, *forgotten, *conserved)),
-                TraceEvent::PeerFinal { outcome, .. } => {
-                    *report.outcomes.entry(outcome.clone()).or_insert(0) += 1;
-                }
+                TraceEvent::PeerRetired { node, grains, at } => retirements.push(ChurnRecord {
+                    node: *node,
+                    grains: *grains,
+                    at: *at,
+                }),
                 _ => {}
             }
         }
-        report.samples = series.len();
-        report.episodes = series.episodes(opts.window, opts.delta_tol, opts.level);
+        let totals = ledger.totals();
+        let join_units: u64 = joins.iter().map(|j| j.grains).sum();
+        let mut outcomes = BTreeMap::new();
+        for outcome in ledger.books.values().filter_map(|b| b.outcome.clone()) {
+            *outcomes.entry(outcome).or_insert(0) += 1;
+        }
+        let mut report = DynReport {
+            events: events.len(),
+            nodes: ledger.nodes(),
+            samples: series.len(),
+            episodes: rule.episodes(&series),
+            drift_events,
+            drift_injected: totals.injected - join_units,
+            drift_forgotten: totals.forgotten,
+            voided_injected: totals.voided.injected,
+            voided_forgotten: totals.voided.forgotten,
+            joins,
+            retirements,
+            staleness,
+            audit: ledger.audit,
+            outcomes,
+            anomalies: Vec::new(),
+        };
 
-        // Verdicts.
+        // Verdicts: the ledger's net injection (drift re-reads plus join
+        // units, less voids) and net forgetting against the auditor.
         let dynamic =
             report.drift_events > 0 || !report.joins.is_empty() || !report.retirements.is_empty();
-        if let Some((injected, forgotten, conserved)) = report.audit {
-            let join_units: u64 = report.joins.iter().map(|j| j.grains).sum();
-            let traced_injected =
-                report.drift_injected as i64 + join_units as i64 - report.voided_injected as i64;
-            if traced_injected != injected as i64 {
+        if let Some(a) = &report.audit {
+            let traced_injected = totals.injected as i64 - totals.voided.injected as i64;
+            if traced_injected != a.injected as i64 {
                 report.anomalies.push(DynAnomaly::InjectedMismatch {
                     traced: traced_injected,
-                    audited: injected,
+                    audited: a.injected,
                 });
             }
-            let traced_forgotten = report.drift_forgotten as i64 - report.voided_forgotten as i64;
-            if traced_forgotten != forgotten as i64 {
+            let traced_forgotten = totals.forgotten as i64 - totals.voided.forgotten as i64;
+            if traced_forgotten != a.forgotten as i64 {
                 report.anomalies.push(DynAnomaly::ForgottenMismatch {
                     traced: traced_forgotten,
-                    audited: forgotten,
+                    audited: a.forgotten,
                 });
             }
-            if !conserved {
+            if !a.conserved {
                 report.anomalies.push(DynAnomaly::NotConserved);
             }
         }
@@ -383,17 +337,19 @@ impl DynReport {
             field("staleness", Json::Arr(staleness)),
             field(
                 "audit_injected",
-                self.audit.map(|(i, _, _)| unum(i)).unwrap_or(Json::Null),
+                self.audit.as_ref().map_or(Json::Null, |a| unum(a.injected)),
             ),
             field(
                 "audit_forgotten",
-                self.audit.map(|(_, g, _)| unum(g)).unwrap_or(Json::Null),
+                self.audit
+                    .as_ref()
+                    .map_or(Json::Null, |a| unum(a.forgotten)),
             ),
             field(
                 "conserved",
                 self.audit
-                    .map(|(_, _, c)| Json::Bool(c))
-                    .unwrap_or(Json::Null),
+                    .as_ref()
+                    .map_or(Json::Null, |a| Json::Bool(a.conserved)),
             ),
             field("outcomes", Json::Obj(outcomes)),
             field("anomalies", Json::Arr(anomalies)),
@@ -443,10 +399,11 @@ impl fmt::Display for DynReport {
         if !stale.is_empty() {
             writeln!(f, "stale sensors (no re-read): {stale:?}")?;
         }
-        match self.audit {
-            Some((injected, forgotten, conserved)) => writeln!(
+        match &self.audit {
+            Some(a) => writeln!(
                 f,
-                "auditor: injected={injected} forgotten={forgotten} conserved={conserved}"
+                "auditor: injected={} forgotten={} conserved={}",
+                a.injected, a.forgotten, a.conserved
             )?,
             None => writeln!(f, "auditor: no audit_summary in the trace")?,
         }
@@ -525,7 +482,7 @@ mod tests {
     fn clean_drift_run_segments_two_episodes() {
         let report = DynReport::from_events(
             &settled_then_perturbed_then_settled(),
-            &DynOptions::default(),
+            &ConvergenceRule::DYN_REPORT,
         );
         assert!(report.clean(), "anomalies: {:?}", report.anomalies);
         assert_eq!(report.episodes.len(), 2, "{:?}", report.episodes);
@@ -546,7 +503,7 @@ mod tests {
         if let Some(TraceEvent::AuditSummary { injected, .. }) = events.last_mut() {
             *injected = 1500;
         }
-        let report = DynReport::from_events(&events, &DynOptions::default());
+        let report = DynReport::from_events(&events, &ConvergenceRule::DYN_REPORT);
         assert!(report.anomalies.iter().any(|a| matches!(
             a,
             DynAnomaly::InjectedMismatch {
@@ -580,7 +537,7 @@ mod tests {
             *injected = 0;
             *forgotten = 0;
         }
-        let report = DynReport::from_events(&events, &DynOptions::default());
+        let report = DynReport::from_events(&events, &ConvergenceRule::DYN_REPORT);
         assert!(report.clean(), "anomalies: {:?}", report.anomalies);
     }
 
@@ -598,7 +555,7 @@ mod tests {
         if let Some(TraceEvent::AuditSummary { injected, .. }) = events.last_mut() {
             *injected = 2000;
         }
-        let report = DynReport::from_events(&events, &DynOptions::default());
+        let report = DynReport::from_events(&events, &ConvergenceRule::DYN_REPORT);
         assert!(report.clean(), "anomalies: {:?}", report.anomalies);
         assert_eq!(report.joins.len(), 1);
     }
@@ -612,7 +569,7 @@ mod tests {
             telemetry(40.0, 0.9),
             telemetry(50.0, 0.8),
         ];
-        let report = DynReport::from_events(&events, &DynOptions::default());
+        let report = DynReport::from_events(&events, &ConvergenceRule::DYN_REPORT);
         assert!(report
             .anomalies
             .iter()
@@ -622,7 +579,7 @@ mod tests {
     #[test]
     fn dynamics_without_telemetry_flagged() {
         let events = vec![drift(0, 1000, 500, 3)];
-        let report = DynReport::from_events(&events, &DynOptions::default());
+        let report = DynReport::from_events(&events, &ConvergenceRule::DYN_REPORT);
         assert!(report
             .anomalies
             .iter()
@@ -631,7 +588,7 @@ mod tests {
 
     #[test]
     fn static_trace_is_clean_and_inert() {
-        let report = DynReport::from_events(&[], &DynOptions::default());
+        let report = DynReport::from_events(&[], &ConvergenceRule::DYN_REPORT);
         assert!(report.clean());
         assert!(report.episodes.is_empty());
         assert_eq!(report.final_settle_ms(), None);
@@ -642,7 +599,7 @@ mod tests {
     fn json_encodes_episodes_and_gate() {
         let report = DynReport::from_events(
             &settled_then_perturbed_then_settled(),
-            &DynOptions::default(),
+            &ConvergenceRule::DYN_REPORT,
         );
         let text = report.to_json().to_string();
         let parsed = Json::parse(&text).expect("valid json");

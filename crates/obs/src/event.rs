@@ -964,6 +964,37 @@ impl std::fmt::Display for TraceEvent {
     }
 }
 
+/// Parses a JSONL trace leniently: blank lines are skipped, and lines
+/// whose event type this build does not know are skipped and counted
+/// (the second tuple element) instead of failing the parse, so traces
+/// written by newer builds still replay. Extra keys on known events are
+/// ignored.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] naming the offending line on the first
+/// structurally malformed line.
+pub fn parse_jsonl(text: &str) -> Result<(Vec<TraceEvent>, usize), JsonError> {
+    let mut events = Vec::new();
+    let mut unknown = 0usize;
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match TraceEvent::from_json(line) {
+            Ok(ev) => events.push(ev),
+            Err(e) if e.message.contains("unknown event type") => unknown += 1,
+            Err(e) => {
+                return Err(JsonError {
+                    message: format!("trace line {}: {}", i + 1, e.message),
+                    offset: e.offset,
+                })
+            }
+        }
+    }
+    Ok((events, unknown))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

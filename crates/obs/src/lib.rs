@@ -27,12 +27,18 @@
 //!   gauges, and mergeable log-bucketed histograms behind the same
 //!   zero-cost-when-disabled handle pattern ([`Metrics`]).
 //! - [`prom`]: Prometheus text-format exposition of a registry snapshot,
-//!   plus a minimal routed std-only HTTP server ([`prom::HttpServer`])
-//!   behind the scrape endpoint ([`prom::PromServer`]).
+//!   plus the minimal routed std-only HTTP server ([`prom::HttpServer`])
+//!   the live console runs on.
 //! - [`live`]: the live operations console — a [`LiveAggregator`] tees
 //!   off the trace stream and [`LiveConsole`] serves the dashboard,
-//!   `/snapshot.json` and the `/events` long-poll while the run is
-//!   still going.
+//!   `/metrics`, `/snapshot.json` and the `/events` long-poll while the
+//!   run is still going.
+//! - [`ledger`]: the one grain-conservation fold every replay shares — a
+//!   [`Ledger`] of per-node books and the identity
+//!   `final = base + merged + returned − split + injected − forgotten −
+//!   voided`.
+//! - Replay front end: every offline report reads traces through
+//!   [`parse_jsonl`] and judges telemetry with one [`ConvergenceRule`].
 //! - [`analyze`]: offline trace analysis — replays a JSONL trace into a
 //!   [`TraceReport`] with per-link latency, fault windows, per-peer grain
 //!   ledgers, convergence detection, and anomaly flags.
@@ -58,6 +64,7 @@ pub mod causal;
 pub mod dynrep;
 pub mod event;
 pub mod json;
+pub mod ledger;
 pub mod live;
 pub mod metrics;
 pub mod prof;
@@ -65,15 +72,16 @@ pub mod prom;
 pub mod sink;
 pub mod telemetry;
 
-pub use analyze::{AnalyzeOptions, Anomaly, TraceReport};
+pub use analyze::{Anomaly, TraceReport};
 pub use byz::{ByzAnomaly, ByzReport};
 pub use causal::{
     CausalAnomaly, CausalReport, CriticalHop, CriticalPath, InfluenceMatrix, NodeProvenance, SpanId,
 };
-pub use dynrep::{ChurnRecord, DynAnomaly, DynOptions, DynReport, Staleness};
-pub use event::{DropReason, GrainOp, TraceEvent};
+pub use dynrep::{ChurnRecord, DynAnomaly, DynReport, Staleness};
+pub use event::{parse_jsonl, DropReason, GrainOp, TraceEvent};
 pub use json::{Json, JsonError};
-pub use live::{EpisodeRule, Health, Live, LiveAggregator, LiveConsole};
+pub use ledger::{AuditVerdict, Ledger, NodeBooks};
+pub use live::{Health, Live, LiveAggregator, LiveConsole};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricValue, Metrics,
     MetricsRegistry, RegistrySnapshot,
@@ -83,4 +91,4 @@ pub use prof::{
     ThreadProfile, ThreadProfiler,
 };
 pub use sink::{JsonlSink, NullSink, RingSink, TeeSink, TraceSink, Tracer};
-pub use telemetry::{Episode, TelemetrySample, TelemetrySeries};
+pub use telemetry::{ConvergenceRule, Episode, TelemetrySample, TelemetrySeries};

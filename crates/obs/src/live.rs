@@ -5,14 +5,15 @@
 //! question *after* a run; this module answers them *during* one. A
 //! [`LiveAggregator`] taps the supervisor's trace path (via
 //! [`crate::Tracer::tee`]) and folds events into a bounded, queryable
-//! view: the telemetry series with convergence episodes, running grain
-//! totals from durable checkpoints, tribunal state, an online
+//! view: the telemetry series with convergence episodes, the shared
+//! [`Ledger`] (running grain totals from durable checkpoints and voids,
+//! the auditor's settled verdict), tribunal state, an online
 //! causal-depth histogram, and hop wait/transit totals. [`LiveConsole`]
 //! exposes that view through the routed [`HttpServer`]:
 //!
 //! * `GET /` — a dependency-free embedded HTML/JS dashboard;
-//! * `GET /metrics` — the Prometheus page, byte-identical to
-//!   [`crate::prom::PromServer`]'s;
+//! * `GET /metrics` — the registry in Prometheus text format, with the
+//!   response layout scrapers have always seen;
 //! * `GET /snapshot.json` — the full aggregator state as one JSON
 //!   document;
 //! * `GET /events?since=<id>` — long-poll stream of new telemetry
@@ -30,13 +31,14 @@ use std::time::Duration;
 
 use crate::event::{GrainOp, TraceEvent};
 use crate::json::{field, num, unum, Json};
+use crate::ledger::Ledger;
 use crate::metrics::{
     bucket_upper_bound, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry,
 };
 use crate::prof::Profiler;
 use crate::prom::{render, HttpHandler, HttpResponse, HttpServer, PROM_CONTENT_TYPE};
 use crate::sink::TraceSink;
-use crate::telemetry::{TelemetrySample, TelemetrySeries};
+use crate::telemetry::{ConvergenceRule, TelemetrySample, TelemetrySeries};
 
 /// Samples kept for `/events` consumers. Oldest are evicted (and
 /// counted) when a consumer falls further behind than this.
@@ -55,68 +57,17 @@ const SNAPSHOT_TAIL: usize = 2_048;
 /// How long `/events` parks before answering empty-handed.
 const LONG_POLL_WAIT: Duration = Duration::from_millis(1_500);
 
-/// The convergence-episode rule the live view applies to its telemetry
-/// series (same semantics as [`TelemetrySeries::episodes`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpisodeRule {
-    /// Trailing samples that must sit flat and low to settle.
-    pub window: usize,
-    /// Max dispersion delta between consecutive window samples.
-    pub delta_tol: f64,
-    /// Dispersion at/above this leaves the converged regime.
-    pub level: f64,
-}
-
-impl Default for EpisodeRule {
-    fn default() -> Self {
-        EpisodeRule {
-            window: 5,
-            delta_tol: 1e-3,
-            level: 0.05,
-        }
-    }
-}
-
-/// Running grain totals folded from durable checkpoints and voids — the
-/// live view of the ledger the auditor settles at shutdown.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct RunningTotals {
-    split: u64,
-    merged: u64,
-    returned: u64,
-    voided_split: u64,
-    voided_merged: u64,
-    voided_returned: u64,
-    voided_injected: u64,
-    voided_forgotten: u64,
-}
-
-/// The auditor's final verdict, mirrored verbatim from the
-/// `AuditSummary` trace event so the snapshot reconciles exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FinalAudit {
-    initial: u64,
-    final_grains: u64,
-    gains: u64,
-    losses: u64,
-    injected: u64,
-    forgotten: u64,
-    exact: bool,
-    conserved: bool,
-}
-
 #[derive(Default)]
 struct LiveState {
-    nodes: Option<usize>,
-    initial_grains: Option<u64>,
+    /// The grain ledger folded so far: checkpoint sums and voids give the
+    /// running totals, `audit_summary` the settled verdict.
+    ledger: Ledger,
     series: TelemetrySeries,
     series_truncated: bool,
     /// `(id, sample)` ring for `/events`; ids are assigned densely from 0.
     ring: VecDeque<(u64, TelemetrySample)>,
     next_id: u64,
     dropped: u64,
-    totals: RunningTotals,
-    audit: Option<FinalAudit>,
     strikes: BTreeMap<usize, u64>,
     convicted: Vec<usize>,
     /// Online causal-depth recurrence (the merge-depth rule of
@@ -134,7 +85,7 @@ struct LiveState {
 /// [`crate::Tracer::tee`] — the JSONL trace (if any) is untouched and
 /// peers keep emitting through the one tracer handle they already hold.
 pub struct LiveAggregator {
-    rule: EpisodeRule,
+    rule: ConvergenceRule,
     state: Mutex<LiveState>,
     /// Woken on every new telemetry sample; `/events` parks here.
     wake: Condvar,
@@ -144,7 +95,7 @@ pub struct LiveAggregator {
 
 impl LiveAggregator {
     /// An empty aggregator applying `rule` to its episode segmentation.
-    pub fn new(rule: EpisodeRule) -> Self {
+    pub fn new(rule: ConvergenceRule) -> Self {
         LiveAggregator {
             rule,
             state: Mutex::new(LiveState::default()),
@@ -186,9 +137,9 @@ impl LiveAggregator {
     /// metrics registry and is merged in by [`LiveConsole`]).
     pub fn snapshot_json(&self) -> Json {
         let s = self.state.lock().expect("live state lock");
-        let episodes = s
-            .series
-            .episodes(self.rule.window, self.rule.delta_tol, self.rule.level)
+        let episodes = self
+            .rule
+            .episodes(&s.series)
             .into_iter()
             .map(|ep| {
                 Json::Obj(vec![
@@ -203,29 +154,24 @@ impl LiveAggregator {
             .iter()
             .map(TelemetrySample::to_json)
             .collect();
-        let t = &s.totals;
+        // Running totals from durable checkpoints and voids — the live
+        // view of the books the auditor settles at shutdown.
+        let t = s.ledger.totals();
         let audit_running = Json::Obj(vec![
-            field("split", unum(t.split)),
-            field("merged", unum(t.merged)),
-            field("returned", unum(t.returned)),
-            field("voided_split", unum(t.voided_split)),
-            field("voided_merged", unum(t.voided_merged)),
-            field("voided_returned", unum(t.voided_returned)),
-            field("voided_injected", unum(t.voided_injected)),
-            field("voided_forgotten", unum(t.voided_forgotten)),
+            field("split", unum(t.checkpointed.split)),
+            field("merged", unum(t.checkpointed.merged)),
+            field("returned", unum(t.checkpointed.returned)),
+            field("voided_split", unum(t.voided.moves.split)),
+            field("voided_merged", unum(t.voided.moves.merged)),
+            field("voided_returned", unum(t.voided.moves.returned)),
+            field("voided_injected", unum(t.voided.injected)),
+            field("voided_forgotten", unum(t.voided.forgotten)),
         ]);
-        let audit = s.audit.as_ref().map_or(Json::Null, |a| {
-            Json::Obj(vec![
-                field("initial", unum(a.initial)),
-                field("final_grains", unum(a.final_grains)),
-                field("gains", unum(a.gains)),
-                field("losses", unum(a.losses)),
-                field("injected", unum(a.injected)),
-                field("forgotten", unum(a.forgotten)),
-                field("exact", Json::Bool(a.exact)),
-                field("conserved", Json::Bool(a.conserved)),
-            ])
-        });
+        let audit = s
+            .ledger
+            .audit
+            .as_ref()
+            .map_or(Json::Null, |a| a.to_json("final_grains"));
         let tribunal = Json::Obj(vec![
             field(
                 "strikes",
@@ -268,8 +214,14 @@ impl LiveAggregator {
             ),
         ]);
         Json::Obj(vec![
-            field("nodes", s.nodes.map_or(Json::Null, |n| unum(n as u64))),
-            field("initial_grains", s.initial_grains.map_or(Json::Null, unum)),
+            field(
+                "nodes",
+                s.ledger.started.map_or(Json::Null, |(n, _)| unum(n as u64)),
+            ),
+            field(
+                "initial_grains",
+                s.ledger.started.map_or(Json::Null, |(_, g)| unum(g)),
+            ),
             field("sample_count", unum(s.next_id)),
             field("dropped", unum(s.dropped)),
             field("series_truncated", Json::Bool(s.series_truncated)),
@@ -321,14 +273,6 @@ impl LiveAggregator {
 impl TraceSink for LiveAggregator {
     fn record(&self, event: &TraceEvent) {
         match event {
-            TraceEvent::ClusterStarted {
-                nodes,
-                initial_grains,
-            } => {
-                let mut s = self.state.lock().expect("live state lock");
-                s.nodes = Some(*nodes);
-                s.initial_grains = Some(*initial_grains);
-            }
             TraceEvent::Telemetry(sample) => self.push_sample(sample.clone()),
             TraceEvent::ClusterTelemetry {
                 elapsed_ms,
@@ -336,45 +280,27 @@ impl TraceSink for LiveAggregator {
                 dispersion,
                 unix_ms,
             } => {
-                // Same shape dyn-report uses when replaying supervisor
+                // Same axis dyn-report uses when replaying supervisor
                 // telemetry: elapsed milliseconds stand in for the round.
-                self.push_sample(TelemetrySample {
-                    round: *elapsed_ms as u64,
-                    live: *live,
-                    classifications_mean: 0.0,
-                    classifications_max: 0,
-                    weight_spread: 0.0,
-                    mean_error: None,
-                    max_error: None,
-                    dispersion: Some(*dispersion),
-                    unix_ms: *unix_ms,
-                });
+                self.push_sample(TelemetrySample::from_cluster(
+                    *elapsed_ms as u64,
+                    *live,
+                    *dispersion,
+                    *unix_ms,
+                ));
             }
-            TraceEvent::PeerCheckpoint {
-                split,
-                merged,
-                returned,
-                ..
-            } => {
-                let mut s = self.state.lock().expect("live state lock");
-                s.totals.split += split;
-                s.totals.merged += merged;
-                s.totals.returned += returned;
-            }
-            TraceEvent::GrainsVoided {
-                split,
-                merged,
-                returned,
-                injected,
-                forgotten,
-                ..
-            } => {
-                let mut s = self.state.lock().expect("live state lock");
-                s.totals.voided_split += split;
-                s.totals.voided_merged += merged;
-                s.totals.voided_returned += returned;
-                s.totals.voided_injected += injected;
-                s.totals.voided_forgotten += forgotten;
+            TraceEvent::ClusterStarted { .. }
+            | TraceEvent::PeerCheckpoint { .. }
+            | TraceEvent::GrainsVoided { .. }
+            | TraceEvent::SensorDrift { .. }
+            | TraceEvent::PeerJoined { .. }
+            | TraceEvent::PeerFinal { .. }
+            | TraceEvent::AuditSummary { .. } => {
+                self.state
+                    .lock()
+                    .expect("live state lock")
+                    .ledger
+                    .record(event);
             }
             TraceEvent::GrainDelta {
                 node,
@@ -389,6 +315,7 @@ impl TraceSink for LiveAggregator {
                 ..
             } => {
                 let mut s = self.state.lock().expect("live state lock");
+                s.ledger.record(event);
                 match op {
                     GrainOp::Split => {
                         if let Some(seq) = seq {
@@ -435,28 +362,6 @@ impl TraceSink for LiveAggregator {
                 if !s.convicted.contains(target) {
                     s.convicted.push(*target);
                 }
-            }
-            TraceEvent::AuditSummary {
-                initial,
-                final_grains,
-                gains,
-                losses,
-                injected,
-                forgotten,
-                exact,
-                conserved,
-            } => {
-                let mut s = self.state.lock().expect("live state lock");
-                s.audit = Some(FinalAudit {
-                    initial: *initial,
-                    final_grains: *final_grains,
-                    gains: *gains,
-                    losses: *losses,
-                    injected: *injected,
-                    forgotten: *forgotten,
-                    exact: *exact,
-                    conserved: *conserved,
-                });
             }
             _ => {}
         }
@@ -945,7 +850,7 @@ mod tests {
 
     #[test]
     fn aggregator_folds_telemetry_checkpoints_and_audit() {
-        let agg = LiveAggregator::new(EpisodeRule::default());
+        let agg = LiveAggregator::new(ConvergenceRule::LIVE);
         agg.record(&TraceEvent::ClusterStarted {
             nodes: 4,
             initial_grains: 4096,
@@ -984,7 +889,7 @@ mod tests {
     /// a merge lands at (parent span depth + 1) ⊔ local depth.
     #[test]
     fn online_causal_depth_follows_split_merge_chains() {
-        let agg = LiveAggregator::new(EpisodeRule::default());
+        let agg = LiveAggregator::new(ConvergenceRule::LIVE);
         let split = |node: usize, seq: u64| TraceEvent::GrainDelta {
             node,
             incarnation: 0,
@@ -1036,7 +941,7 @@ mod tests {
     /// the drop counter reports exactly the evicted samples.
     #[test]
     fn events_ring_overflow_reports_the_drop_counter() {
-        let agg = LiveAggregator::new(EpisodeRule::default());
+        let agg = LiveAggregator::new(ConvergenceRule::LIVE);
         let total = EVENT_RING_CAP as u64 + 57;
         for i in 0..total {
             agg.record(&telemetry(i as f64, 3, 0.2));
@@ -1061,7 +966,7 @@ mod tests {
     #[test]
     fn teed_tracer_feeds_the_aggregator_without_touching_the_base() {
         let base = Arc::new(crate::sink::RingSink::new(16));
-        let agg = Arc::new(LiveAggregator::new(EpisodeRule::default()));
+        let agg = Arc::new(LiveAggregator::new(ConvergenceRule::LIVE));
         let tracer = Tracer::new(base.clone()).tee(agg.clone());
         tracer.emit(|| telemetry(5.0, 3, 0.4));
         assert_eq!(base.len(), 1);
@@ -1088,7 +993,7 @@ mod tests {
         metrics
             .counter("distclass_msgs_total", "messages", &[("node", "0")])
             .add(3);
-        let agg = Arc::new(LiveAggregator::new(EpisodeRule::default()));
+        let agg = Arc::new(LiveAggregator::new(ConvergenceRule::LIVE));
         agg.record(&telemetry(1.0, 2, 0.3));
         let prof_core = Arc::new(crate::prof::ProfilerCore::new());
         {
@@ -1186,7 +1091,7 @@ mod tests {
     #[test]
     fn concurrent_metrics_and_snapshot_scrapes_both_answer() {
         let registry = Arc::new(MetricsRegistry::new());
-        let agg = Arc::new(LiveAggregator::new(EpisodeRule::default()));
+        let agg = Arc::new(LiveAggregator::new(ConvergenceRule::LIVE));
         for i in 0..100 {
             agg.record(&telemetry(i as f64, 2, 0.1));
         }

@@ -1,5 +1,5 @@
-//! Prometheus text-format exposition and a minimal std-only scrape
-//! endpoint.
+//! Prometheus text-format exposition and the minimal std-only HTTP
+//! server it is scraped from.
 //!
 //! [`render`] turns a [`RegistrySnapshot`] into the Prometheus text
 //! format (version 0.0.4): `# HELP` / `# TYPE` comments followed by one
@@ -7,10 +7,9 @@
 //! `_bucket{le=...}` samples plus `_sum` and `_count`.
 //! [`validate_exposition`] checks a rendered document line by line — the
 //! format contract tests (and external scrapers) rely on it.
-//! [`HttpServer`] is the minimal routed HTTP listener behind both
-//! [`PromServer`] (the `/metrics`-only scrape endpoint) and the live
-//! operations console ([`crate::live`]), with no dependencies beyond
-//! `std::net`.
+//! [`HttpServer`] is the minimal routed HTTP listener behind the live
+//! operations console ([`crate::live`]), which serves [`render`]'s page
+//! on `/metrics`, with no dependencies beyond `std::net`.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -19,7 +18,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use crate::metrics::{MetricValue, MetricsRegistry, RegistrySnapshot};
+use crate::metrics::{MetricValue, RegistrySnapshot};
 
 /// Renders a snapshot in the Prometheus text exposition format.
 pub fn render(snapshot: &RegistrySnapshot) -> String {
@@ -281,9 +280,9 @@ fn validate_sample(line: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The exposition content type `/metrics` has always sent. Pinned so the
-/// routed server's 200 responses stay byte-identical to the original
-/// single-purpose scrape endpoint.
+/// The exposition content type `/metrics` has always sent. Pinned so
+/// scrapes stay byte-identical to the original single-purpose scrape
+/// endpoint's responses.
 pub const PROM_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// One finished HTTP response: a status, a content type and a body. The
@@ -499,8 +498,8 @@ fn serve_conn(mut stream: TcpStream, handler: &dyn HttpHandler) -> io::Result<()
 /// Writes the response. `HEAD` gets the same headers — including the
 /// `Content-Length` the body *would* have — and no body.
 fn write_response(stream: &mut TcpStream, head_only: bool, resp: &HttpResponse) -> io::Result<()> {
-    // The 200 header layout is byte-for-byte the one `PromServer` has
-    // always produced, so `/metrics` scrapes are unchanged by routing.
+    // The 200 header layout is byte-for-byte the one the original
+    // scrape-only endpoint produced, so `/metrics` scrapes never changed.
     let mut out = format!(
         "HTTP/1.1 {} {}\r\n{}Content-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         resp.status,
@@ -521,64 +520,12 @@ fn write_response(stream: &mut TcpStream, head_only: bool, resp: &HttpResponse) 
     stream.flush()
 }
 
-/// The `/metrics`-only handler: [`PromServer`]'s routing table.
-struct MetricsOnly {
-    registry: Arc<MetricsRegistry>,
-}
-
-impl HttpHandler for MetricsOnly {
-    fn handle(&self, path: &str, _query: Option<&str>) -> Option<HttpResponse> {
-        match path {
-            "/metrics" => Some(HttpResponse::ok(
-                PROM_CONTENT_TYPE,
-                render(&self.registry.snapshot()),
-            )),
-            _ => None,
-        }
-    }
-}
-
-/// A background HTTP listener serving the registry's current snapshot in
-/// text format on `/metrics` — enough for a Prometheus scraper or
-/// `curl`, with no dependencies beyond `std::net`.
-///
-/// Since the routed-server refactor this is a thin wrapper over
-/// [`HttpServer`] with a single route; unknown paths now answer 404 and
-/// non-GET/HEAD methods 405 (historically every request got the metrics
-/// page). The listener thread stops (and the socket closes) when the
-/// server is dropped.
-pub struct PromServer {
-    inner: HttpServer,
-}
-
-impl PromServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:9464"`; port 0 picks a free port)
-    /// and starts serving `registry` from a background thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn start(addr: impl ToSocketAddrs, registry: Arc<MetricsRegistry>) -> io::Result<Self> {
-        let inner = HttpServer::start(addr, "prom-listener", Arc::new(MetricsOnly { registry }))?;
-        Ok(PromServer { inner })
-    }
-
-    /// The bound address (resolves port 0 to the actual port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.inner.local_addr()
-    }
-}
-
-impl std::fmt::Debug for PromServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PromServer({})", self.local_addr())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Metrics;
+    use crate::live::{Live, LiveConsole};
+    use crate::metrics::{Metrics, MetricsRegistry};
+    use crate::prof::Profiler;
 
     fn populated_registry() -> Arc<MetricsRegistry> {
         let reg = Arc::new(MetricsRegistry::new());
@@ -598,6 +545,18 @@ mod tests {
             h.observe(v);
         }
         reg
+    }
+
+    /// The live console serving `reg` on `/metrics` and nothing else:
+    /// no aggregator, profiler or health probe.
+    fn metrics_server(reg: &Arc<MetricsRegistry>) -> io::Result<HttpServer> {
+        LiveConsole::start(
+            "127.0.0.1:0",
+            Some(Arc::clone(reg)),
+            Live::disabled(),
+            Profiler::disabled(),
+            None,
+        )
     }
 
     /// Acceptance criterion: the rendered exposition parses line by line
@@ -647,7 +606,7 @@ mod tests {
     #[test]
     fn http_listener_serves_current_snapshot() {
         let reg = populated_registry();
-        let server = match PromServer::start("127.0.0.1:0", Arc::clone(&reg)) {
+        let server = match metrics_server(&reg) {
             Ok(s) => s,
             // Sandboxed environments without loopback TCP: skip.
             Err(e) => {
@@ -693,7 +652,7 @@ mod tests {
     #[test]
     fn metrics_response_is_byte_identical_to_the_legacy_layout() {
         let reg = populated_registry();
-        let server = match PromServer::start("127.0.0.1:0", Arc::clone(&reg)) {
+        let server = match metrics_server(&reg) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("skipping byte-identity test: bind failed: {e}");
@@ -716,7 +675,7 @@ mod tests {
     #[test]
     fn unknown_path_is_404_and_wrong_method_is_405() {
         let reg = populated_registry();
-        let server = match PromServer::start("127.0.0.1:0", Arc::clone(&reg)) {
+        let server = match metrics_server(&reg) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("skipping routing test: bind failed: {e}");
@@ -737,7 +696,7 @@ mod tests {
     #[test]
     fn head_request_gets_headers_only_with_full_content_length() {
         let reg = populated_registry();
-        let server = match PromServer::start("127.0.0.1:0", Arc::clone(&reg)) {
+        let server = match metrics_server(&reg) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("skipping HEAD test: bind failed: {e}");
@@ -762,7 +721,7 @@ mod tests {
     #[test]
     fn oversized_request_head_is_rejected_with_400() {
         let reg = populated_registry();
-        let server = match PromServer::start("127.0.0.1:0", Arc::clone(&reg)) {
+        let server = match metrics_server(&reg) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("skipping oversize test: bind failed: {e}");
@@ -782,7 +741,7 @@ mod tests {
     #[test]
     fn read_timeout_mid_header_is_rejected_with_400() {
         let reg = populated_registry();
-        let server = match PromServer::start("127.0.0.1:0", Arc::clone(&reg)) {
+        let server = match metrics_server(&reg) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("skipping timeout test: bind failed: {e}");

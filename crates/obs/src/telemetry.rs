@@ -1,6 +1,7 @@
 //! Per-round convergence telemetry: the quantities Figures 2–4 of the
 //! paper plot, sampled every round instead of once at the end.
 
+use crate::event::TraceEvent;
 use crate::json::{field, num, unum, Json, JsonError};
 
 /// One convergence measurement, taken after a round (or a wall-clock
@@ -53,6 +54,29 @@ impl TelemetrySample {
         Json::Obj(self.json_fields())
     }
 
+    /// A supervisor `cluster_telemetry` sample, placed at `round` on the
+    /// caller's axis (sample index or elapsed milliseconds). Only the
+    /// live count and a finite dispersion are known; the per-node
+    /// quantities stay zero/absent.
+    pub fn from_cluster(
+        round: u64,
+        live: usize,
+        dispersion: f64,
+        unix_ms: Option<u64>,
+    ) -> TelemetrySample {
+        TelemetrySample {
+            round,
+            live,
+            classifications_mean: 0.0,
+            classifications_max: 0,
+            weight_spread: 0.0,
+            mean_error: None,
+            max_error: None,
+            dispersion: dispersion.is_finite().then_some(dispersion),
+            unix_ms,
+        }
+    }
+
     pub(crate) fn from_json_obj(v: &Json) -> Result<TelemetrySample, JsonError> {
         Ok(TelemetrySample {
             round: v.req_u64("round")?,
@@ -78,7 +102,7 @@ impl TelemetrySample {
 }
 
 /// One convergence episode in a dynamic run (see
-/// [`TelemetrySeries::episodes`]): the trajectory settled, and possibly
+/// [`ConvergenceRule::episodes`]): the trajectory settled, and possibly
 /// got kicked back out by a perturbation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Episode {
@@ -135,89 +159,18 @@ impl TelemetrySeries {
     /// hand-rolled; a window shorter than 2 or missing dispersions yield
     /// `false`.
     pub fn converged(&self, window: usize, delta_tol: f64, level: f64) -> bool {
-        if window < 2 || self.samples.len() < window {
-            return false;
-        }
-        let tail = &self.samples[self.samples.len() - window..];
-        let mut prev: Option<f64> = None;
-        for sample in tail {
-            let Some(d) = sample.dispersion else {
-                return false;
-            };
-            if d >= level {
-                return false;
-            }
-            if let Some(p) = prev {
-                if (d - p).abs() >= delta_tol {
-                    return false;
-                }
-            }
-            prev = Some(d);
-        }
-        true
+        window >= 2
+            && self.samples.len() >= window
+            && flat_and_low(
+                &self.samples[self.samples.len() - window..],
+                delta_tol,
+                level,
+            )
     }
 
     /// Mean error of the final sample, if an error probe was active.
     pub fn final_mean_error(&self) -> Option<f64> {
         self.samples.last().and_then(|s| s.mean_error)
-    }
-
-    /// Segments a dynamic run's trajectory into convergence episodes:
-    /// converged → perturbed → re-converged, with a settle time for each.
-    ///
-    /// The converged regime is entered when the trailing `window` samples
-    /// satisfy the same flat-low-tail rule as [`Self::converged`], and
-    /// left at the first sample whose dispersion is missing or at/above
-    /// `level` (a drift step, churn event or partition kicking the
-    /// cluster back out). Units follow the samples' `round` field — the
-    /// deployment runtime stores elapsed milliseconds there when it
-    /// replays supervisor telemetry.
-    pub fn episodes(&self, window: usize, delta_tol: f64, level: f64) -> Vec<Episode> {
-        let mut out = Vec::new();
-        if window < 2 || self.samples.len() < window {
-            return out;
-        }
-        let window_ok = |tail: &[TelemetrySample]| {
-            let mut prev: Option<f64> = None;
-            for sample in tail {
-                let Some(d) = sample.dispersion else {
-                    return false;
-                };
-                if d >= level {
-                    return false;
-                }
-                if let Some(p) = prev {
-                    if (d - p).abs() >= delta_tol {
-                        return false;
-                    }
-                }
-                prev = Some(d);
-            }
-            true
-        };
-        let mut perturbed_since = self.samples[0].round;
-        let mut settled = false;
-        for i in 0..self.samples.len() {
-            let s = &self.samples[i];
-            if settled {
-                let lost = s.dispersion.is_none_or(|d| d >= level);
-                if lost {
-                    if let Some(ep) = out.last_mut() {
-                        ep.lost_round = Some(s.round);
-                    }
-                    perturbed_since = s.round;
-                    settled = false;
-                }
-            } else if i + 1 >= window && window_ok(&self.samples[i + 1 - window..=i]) {
-                out.push(Episode {
-                    settled_round: s.round,
-                    lost_round: None,
-                    settle_rounds: s.round.saturating_sub(perturbed_since),
-                });
-                settled = true;
-            }
-        }
-        out
     }
 
     /// Encodes the series as a JSON array of sample objects.
@@ -244,10 +197,160 @@ impl TelemetrySeries {
     }
 }
 
+/// Whether every sample in `tail` carries a dispersion below `level`
+/// and consecutive ones differ by less than `delta_tol`.
+fn flat_and_low(tail: &[TelemetrySample], delta_tol: f64, level: f64) -> bool {
+    let mut prev: Option<f64> = None;
+    for sample in tail {
+        let Some(d) = sample.dispersion else {
+            return false;
+        };
+        if d >= level || prev.is_some_and(|p| (d - p).abs() >= delta_tol) {
+            return false;
+        }
+        prev = Some(d);
+    }
+    true
+}
+
+/// The convergence rule every replay applies to a telemetry series: the
+/// trailing `window` samples sit below `level` and move less than
+/// `delta_tol` between consecutive samples (the test of
+/// [`TelemetrySeries::converged`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ConvergenceRule {
+    /// Trailing samples that must sit flat and low.
+    pub window: usize,
+    /// Maximum dispersion change between consecutive window samples.
+    pub delta_tol: f64,
+    /// Dispersion level counted as converged.
+    pub level: f64,
+}
+
+impl ConvergenceRule {
+    /// `trace-report` and `causal-report`: five samples below 0.05.
+    pub const TRACE_REPORT: ConvergenceRule = ConvergenceRule {
+        window: 5,
+        delta_tol: 1e-3,
+        level: 0.05,
+    };
+
+    /// `dyn-report`: three samples below 0.01, so short re-convergence
+    /// episodes between perturbations still register.
+    pub const DYN_REPORT: ConvergenceRule = ConvergenceRule {
+        window: 3,
+        delta_tol: 1e-3,
+        level: 1e-2,
+    };
+
+    /// The live console's episode rule when none is configured.
+    pub const LIVE: ConvergenceRule = ConvergenceRule::TRACE_REPORT;
+
+    /// Index of the earliest sample at which the rule first holds over
+    /// the samples up to it, `None` if it never does.
+    pub fn first_converged(&self, samples: &[TelemetrySample]) -> Option<usize> {
+        if self.window < 2 {
+            return None;
+        }
+        (self.window - 1..samples.len()).find(|&i| {
+            flat_and_low(
+                &samples[i + 1 - self.window..=i],
+                self.delta_tol,
+                self.level,
+            )
+        })
+    }
+
+    /// Segments a dynamic run's trajectory into convergence episodes:
+    /// converged → perturbed → re-converged, with a settle time for each.
+    ///
+    /// The converged regime is entered when the trailing `window` samples
+    /// sit flat and low (as in [`TelemetrySeries::converged`]), and left
+    /// at the first sample whose dispersion is missing or at/above
+    /// `level` (a drift step, churn event or partition kicking the
+    /// cluster back out). Units follow the samples' `round` field — the
+    /// deployment runtime stores elapsed milliseconds there when it
+    /// replays supervisor telemetry.
+    pub fn episodes(&self, series: &TelemetrySeries) -> Vec<Episode> {
+        let ConvergenceRule {
+            window,
+            delta_tol,
+            level,
+        } = *self;
+        let samples = &series.samples;
+        let mut out = Vec::new();
+        if window < 2 || samples.len() < window {
+            return out;
+        }
+        let mut perturbed_since = samples[0].round;
+        let mut settled = false;
+        for i in 0..samples.len() {
+            let s = &samples[i];
+            if settled {
+                let lost = s.dispersion.is_none_or(|d| d >= level);
+                if lost {
+                    if let Some(ep) = out.last_mut() {
+                        ep.lost_round = Some(s.round);
+                    }
+                    perturbed_since = s.round;
+                    settled = false;
+                }
+            } else if i + 1 >= window
+                && flat_and_low(&samples[i + 1 - window..=i], delta_tol, level)
+            {
+                out.push(Episode {
+                    settled_round: s.round,
+                    lost_round: None,
+                    settle_rounds: s.round.saturating_sub(perturbed_since),
+                });
+                settled = true;
+            }
+        }
+        out
+    }
+}
+
+/// The convergence trajectory a trace replay judges, with each sample's
+/// position in `events`: the per-round `telemetry` samples when the
+/// trace has any, otherwise the supervisor's `cluster_telemetry`
+/// samples, numbered by arrival.
+pub fn trajectory(events: &[TraceEvent]) -> (TelemetrySeries, Vec<usize>) {
+    let (mut rounds, mut cluster) = (Vec::new(), Vec::new());
+    for (pos, ev) in events.iter().enumerate() {
+        match ev {
+            TraceEvent::Telemetry(sample) => rounds.push((pos, sample.clone())),
+            TraceEvent::ClusterTelemetry {
+                live,
+                dispersion,
+                unix_ms,
+                ..
+            } => {
+                let round = cluster.len() as u64;
+                cluster.push((
+                    pos,
+                    TelemetrySample::from_cluster(round, *live, *dispersion, *unix_ms),
+                ));
+            }
+            _ => {}
+        }
+    }
+    let chosen = if rounds.is_empty() { cluster } else { rounds };
+    let (positions, samples) = chosen.into_iter().unzip();
+    (TelemetrySeries { samples }, positions)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceEvent;
+
+    /// The episode rule these tests use, at `window` samples.
+    fn rule(window: usize) -> ConvergenceRule {
+        ConvergenceRule {
+            window,
+            delta_tol: 1e-2,
+            level: 0.5,
+        }
+    }
 
     fn sample(round: u64, dispersion: Option<f64>) -> TelemetrySample {
         TelemetrySample {
@@ -378,7 +481,7 @@ mod tests {
         for (round, d) in trajectory {
             series.push(sample(round, Some(d)));
         }
-        let eps = series.episodes(3, 1e-2, 0.5);
+        let eps = rule(3).episodes(&series);
         assert_eq!(eps.len(), 2, "{eps:?}");
         assert_eq!(eps[0].settled_round, 4);
         assert_eq!(eps[0].settle_rounds, 4);
@@ -394,8 +497,8 @@ mod tests {
         for (round, d) in [(0, 0.9), (1, 0.8), (2, 0.7)] {
             series.push(sample(round, Some(d)));
         }
-        assert!(series.episodes(2, 1e-2, 0.5).is_empty());
-        assert!(series.episodes(1, 1e-2, 0.5).is_empty(), "window < 2");
+        assert!(rule(2).episodes(&series).is_empty());
+        assert!(rule(1).episodes(&series).is_empty(), "window < 2");
     }
 
     #[test]
@@ -404,7 +507,7 @@ mod tests {
         series.push(sample(0, Some(0.01)));
         series.push(sample(1, Some(0.011)));
         series.push(sample(2, None));
-        let eps = series.episodes(2, 1e-2, 0.5);
+        let eps = rule(2).episodes(&series);
         assert_eq!(eps.len(), 1);
         assert_eq!(eps[0].lost_round, Some(2));
     }

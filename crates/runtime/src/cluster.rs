@@ -41,8 +41,8 @@ use distclass_gossip::wire::WireSummary;
 use distclass_gossip::SelectorKind;
 use distclass_net::{NodeId, Topology};
 use distclass_obs::{
-    prom::PromServer, EpisodeRule, Health, Live, LiveAggregator, LiveConsole, Metrics, Phase,
-    ProfileReport, Profiler, TraceEvent, Tracer,
+    ConvergenceRule, Health, Live, LiveAggregator, LiveConsole, Metrics, Phase, ProfileReport,
+    Profiler, TraceEvent, Tracer,
 };
 
 use crate::audit::{run_audit, AuditReport, GrainLogs, Ledger, NodeLedger};
@@ -122,16 +122,12 @@ pub struct ClusterConfig {
     /// Metrics registry handle shared by every peer; disabled by default
     /// (no-op instruments, zero overhead).
     pub metrics: Metrics,
-    /// Address for a Prometheus scrape endpoint serving the registry
-    /// (e.g. `"127.0.0.1:9184"`). Only started when [`Self::metrics`] is
-    /// enabled; the listener lives for the duration of the run.
-    pub prom_listen: Option<String>,
     /// Address for the live operations console (dashboard at `/`,
-    /// `/metrics`, `/snapshot.json`, `/events`). Starting it attaches a
-    /// [`distclass_obs::LiveAggregator`] to the run's trace path (teed,
-    /// so a `--trace` file is unaffected) and serves it for the duration
-    /// of the run. Subsumes [`Self::prom_listen`]: `/metrics` responses
-    /// are byte-identical to the scrape-only listener's.
+    /// `/metrics`, `/snapshot.json`, `/events`), e.g. `"127.0.0.1:9184"`.
+    /// Starting it attaches a [`distclass_obs::LiveAggregator`] to the
+    /// run's trace path (teed, so a `--trace` file is unaffected) and
+    /// serves it for the duration of the run; `/metrics` serves the
+    /// registry when [`Self::metrics`] is enabled.
     pub dash_listen: Option<String>,
     /// Byzantine adversary script: which nodes lie on the wire, and how.
     /// `None` (the default) runs an all-honest cluster, byte-identical
@@ -176,7 +172,6 @@ impl Default for ClusterConfig {
             audit: false,
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
-            prom_listen: None,
             dash_listen: None,
             adversaries: None,
             defense: None,
@@ -557,10 +552,9 @@ where
     // always did) plus the routed HTTP server over it. Everything the
     // supervisor and peers emit below goes through this teed tracer.
     let live = match &config.dash_listen {
-        Some(_) => Live::new(Arc::new(LiveAggregator::new(EpisodeRule {
-            window: 5,
-            delta_tol: 1e-3,
+        Some(_) => Live::new(Arc::new(LiveAggregator::new(ConvergenceRule {
             level: config.tol,
+            ..ConvergenceRule::LIVE
         }))),
         None => Live::disabled(),
     };
@@ -570,8 +564,8 @@ where
             .tee(Arc::clone(agg) as Arc<dyn distclass_obs::TraceSink>),
         None => config.tracer.clone(),
     };
-    // Bind failures are reported but never kill the run; the servers
-    // (and their ports) are dropped when the cluster returns.
+    // Bind failures are reported but never kill the run; the server
+    // (and its port) is dropped when the cluster returns.
     let _dash = match &config.dash_listen {
         Some(addr) => {
             let registry = config.metrics.registry().map(Arc::clone);
@@ -596,20 +590,6 @@ where
             }
         }
         None => None,
-    };
-    // The scrape-only endpoint for the run's metrics registry, when
-    // asked for separately from the console.
-    let _prom = match (&config.prom_listen, config.metrics.registry()) {
-        (Some(addr), Some(registry)) => {
-            match PromServer::start(addr.as_str(), Arc::clone(registry)) {
-                Ok(server) => Some(server),
-                Err(e) => {
-                    eprintln!("warning: could not bind prometheus listener on {addr}: {e}");
-                    None
-                }
-            }
-        }
-        _ => None,
     };
     tracer.emit(|| TraceEvent::ClusterStarted {
         nodes: n,

@@ -28,9 +28,9 @@ use distclass::linalg::Vector;
 use distclass::net::Topology;
 use distclass::obs::json::{field, num, unum};
 use distclass::obs::{
-    causal, prom, AnalyzeOptions, ByzReport, CausalReport, DynOptions, DynReport, Json, JsonlSink,
-    Metrics, MetricsRegistry, ProfileReport, Profiler, ProfilerCore, TraceReport, TraceSink,
-    Tracer,
+    parse_jsonl, prom, ByzReport, CausalReport, ConvergenceRule, DynReport, Json, JsonError,
+    JsonlSink, Metrics, MetricsRegistry, ProfileReport, Profiler, ProfilerCore, TraceReport,
+    TraceSink, Tracer,
 };
 use distclass::runtime::{
     run_channel_cluster, run_chaos_channel_cluster, run_chaos_udp_cluster, run_udp_cluster,
@@ -626,139 +626,78 @@ fn finish_cluster_outputs<S>(
     Ok(())
 }
 
-/// `trace-report`: replay a `--trace` JSONL file into an offline report.
-/// Exits 0 on a clean trace and 2 when the replay flags anomalies, so CI
-/// can gate on trace health without parsing the output.
-fn cmd_trace_report(args: &Args) -> Result<ExitCode, String> {
+/// The trace replays — `trace-report`, `causal-report`, `byz-report` and
+/// `dyn-report` — behind one front end: read the `--trace` JSONL file,
+/// replay it into the command's report, print it (`--json` for the
+/// machine-readable form; `causal-report --dot` renders the causal DAG
+/// instead). Exits 0 on a clean report and 2 when the replay flags
+/// anomalies, so CI can gate on trace health without parsing the output;
+/// usage and IO errors exit 1.
+fn cmd_report(args: &Args, command: &str) -> Result<ExitCode, String> {
     let path = args
         .positional
         .get(1)
         .map(String::as_str)
         .or_else(|| args.flag("file"))
-        .ok_or_else(|| format!("trace-report needs a trace file\n{}", usage()))?;
-    let defaults = AnalyzeOptions::default();
-    let opts = AnalyzeOptions {
-        window: args.get("window", defaults.window)?,
-        delta_tol: args.get("delta-tol", defaults.delta_tol)?,
-        level: args.get("level", defaults.level)?,
+        .ok_or_else(|| format!("{command} needs a trace file\n{}", usage()))?;
+    let default = if command == "dyn-report" {
+        ConvergenceRule::DYN_REPORT
+    } else {
+        ConvergenceRule::TRACE_REPORT
+    };
+    // byz-report has no convergence rule, so it takes no rule flags.
+    let rule = if command == "byz-report" {
+        default
+    } else {
+        ConvergenceRule {
+            window: args.get("window", default.window)?,
+            delta_tol: args.get("delta-tol", default.delta_tol)?,
+            level: args.get("level", default.level)?,
+        }
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let report = TraceReport::from_jsonl(&text, &opts).map_err(|e| format!("{path}: {e}"))?;
-    if args.has("json") {
-        println!("{}", report.to_json());
-    } else {
-        print!("{report}");
-    }
-    Ok(if report.clean() {
+    let bad_trace = |e: JsonError| format!("{path}: {e}");
+    let json = args.has("json");
+    let (out, clean) = match command {
+        "causal-report" if args.has("dot") => {
+            // The DOT view is a rendering aid, not a health check; the
+            // exit code stays tied to the analyzed report.
+            let (events, _) = parse_jsonl(&text).map_err(bad_trace)?;
+            let clean = CausalReport::from_events(&events, &rule).clean();
+            (CausalReport::to_dot(&events), clean)
+        }
+        "causal-report" => {
+            let r = CausalReport::from_jsonl(&text, &rule).map_err(bad_trace)?;
+            (render(json, &r, CausalReport::to_json), r.clean())
+        }
+        "byz-report" => {
+            let r = ByzReport::from_jsonl(&text).map_err(bad_trace)?;
+            (render(json, &r, ByzReport::to_json), r.clean())
+        }
+        "dyn-report" => {
+            let r = DynReport::from_jsonl(&text, &rule).map_err(bad_trace)?;
+            (render(json, &r, DynReport::to_json), r.clean())
+        }
+        _ => {
+            let r = TraceReport::from_jsonl(&text, &rule).map_err(bad_trace)?;
+            (render(json, &r, TraceReport::to_json), r.clean())
+        }
+    };
+    print!("{out}");
+    Ok(if clean {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(2)
     })
 }
 
-/// `causal-report`: rebuild the happens-before DAG from a `--trace` JSONL
-/// file and report the convergence critical path, grain provenance, and
-/// influence matrix. Same exit-code contract as `trace-report`: 0 on a
-/// clean causal layer, 2 when the reconstruction flags anomalies (cycles,
-/// clock rewinds, provenance drift), 1 on usage/IO errors.
-fn cmd_causal_report(args: &Args) -> Result<ExitCode, String> {
-    let path = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .or_else(|| args.flag("file"))
-        .ok_or_else(|| format!("causal-report needs a trace file\n{}", usage()))?;
-    let defaults = AnalyzeOptions::default();
-    let opts = AnalyzeOptions {
-        window: args.get("window", defaults.window)?,
-        delta_tol: args.get("delta-tol", defaults.delta_tol)?,
-        level: args.get("level", defaults.level)?,
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if args.has("dot") {
-        let (events, _) = causal::parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-        print!("{}", CausalReport::to_dot(&events, &opts));
-        // The DOT view is a rendering aid, not a health check; keep the
-        // exit-code contract tied to the analyzed report below.
-        let report = CausalReport::from_events(&events, &opts);
-        return Ok(if report.clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(2)
-        });
+/// A report as printed: one JSON line with `--json`, else its text form.
+fn render<R: std::fmt::Display>(json: bool, report: &R, to_json: fn(&R) -> Json) -> String {
+    if json {
+        format!("{}\n", to_json(report))
+    } else {
+        report.to_string()
     }
-    let report = CausalReport::from_jsonl(&text, &opts).map_err(|e| format!("{path}: {e}"))?;
-    if args.has("json") {
-        println!("{}", report.to_json());
-    } else {
-        print!("{report}");
-    }
-    Ok(if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    })
-}
-
-/// `byz-report`: replay a `--trace` JSONL file into the offline
-/// Byzantine-defense report — detection and false-positive rates, mean
-/// detection tick, audit bandwidth overhead, and the reconciliation of
-/// traced rejections against the grain auditor's minted-weight
-/// measurement. Same exit-code contract as `trace-report`: 0 on a clean
-/// report, 2 when the replay flags anomalies, 1 on usage/IO errors.
-fn cmd_byz_report(args: &Args) -> Result<ExitCode, String> {
-    let path = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .or_else(|| args.flag("file"))
-        .ok_or_else(|| format!("byz-report needs a trace file\n{}", usage()))?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let report = ByzReport::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-    if args.has("json") {
-        println!("{}", report.to_json());
-    } else {
-        print!("{report}");
-    }
-    Ok(if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    })
-}
-
-/// `dyn-report`: replay a `--trace` JSONL file into the offline
-/// dynamic-workload report — the converged → perturbed → re-converged
-/// episode timeline with per-episode settle times, sensor staleness, and
-/// the reconciliation of traced drift/churn grain flows against the
-/// auditor's settled injected/forgotten totals. Same exit-code contract
-/// as `trace-report`: 0 on a clean report, 2 when the replay flags
-/// anomalies, 1 on usage/IO errors.
-fn cmd_dyn_report(args: &Args) -> Result<ExitCode, String> {
-    let path = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .or_else(|| args.flag("file"))
-        .ok_or_else(|| format!("dyn-report needs a trace file\n{}", usage()))?;
-    let defaults = DynOptions::default();
-    let opts = DynOptions {
-        window: args.get("window", defaults.window)?,
-        delta_tol: args.get("delta-tol", defaults.delta_tol)?,
-        level: args.get("level", defaults.level)?,
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let report = DynReport::from_jsonl(&text, &opts).map_err(|e| format!("{path}: {e}"))?;
-    if args.has("json") {
-        println!("{}", report.to_json());
-    } else {
-        print!("{report}");
-    }
-    Ok(if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    })
 }
 
 /// `prof-report`: inspect a `--profile` JSON file. Text output shows the
@@ -1070,10 +1009,9 @@ fn main() -> ExitCode {
         "robust-average" => cmd_robust_average(&args).map(|()| ExitCode::SUCCESS),
         "topologies" => cmd_topologies(&args).map(|()| ExitCode::SUCCESS),
         "run-cluster" => cmd_run_cluster(&args).map(|()| ExitCode::SUCCESS),
-        "trace-report" => cmd_trace_report(&args),
-        "causal-report" => cmd_causal_report(&args),
-        "byz-report" => cmd_byz_report(&args),
-        "dyn-report" => cmd_dyn_report(&args),
+        "trace-report" | "causal-report" | "byz-report" | "dyn-report" => {
+            cmd_report(&args, command)
+        }
         "prof-report" => cmd_prof_report(&args),
         "help" | "--help" => {
             println!("{}", usage());

@@ -12,7 +12,7 @@ use std::time::Duration;
 use distclass::core::CentroidInstance;
 use distclass::linalg::Vector;
 use distclass::net::{NodeId, Topology};
-use distclass::obs::{AnalyzeOptions, CausalReport, RingSink, TraceEvent, Tracer};
+use distclass::obs::{CausalReport, ConvergenceRule, RingSink, TraceEvent, Tracer};
 use distclass::runtime::{run_chaos_channel_cluster, ClusterConfig, FaultPlan};
 
 fn seeds() -> Vec<u64> {
@@ -123,7 +123,7 @@ fn lamport_clocks_never_rewind_per_node_across_seeds() {
 fn causal_report_is_clean_under_chaos_across_seeds() {
     for seed in seeds() {
         let events = chaos_trace(seed);
-        let report = CausalReport::from_events(&events, &AnalyzeOptions::default());
+        let report = CausalReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
         assert!(
             report.acyclic,
             "seed {seed}: happens-before DAG has a cycle\n{report}"

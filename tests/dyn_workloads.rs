@@ -23,7 +23,7 @@ use std::time::Duration;
 use distclass::core::CentroidInstance;
 use distclass::linalg::Vector;
 use distclass::net::Topology;
-use distclass::obs::{DynOptions, DynReport, RingSink, Tracer};
+use distclass::obs::{CausalReport, ConvergenceRule, DynReport, RingSink, Tracer};
 use distclass::runtime::{
     run_channel_cluster, run_chaos_channel_cluster, AdversaryPlan, ChurnPlan, ClusterConfig,
     ClusterReport, DefenseConfig, DriftSchedule, FaultPlan, NodeOutcome,
@@ -189,7 +189,8 @@ fn drift_and_churn_reconverge_and_balance_exactly() {
 
         // And the offline replay agrees: a settled episode timeline that
         // holds to the end, reconciled against the auditor.
-        let dyn_report = DynReport::from_events(&sink.events(), &DynOptions::default());
+        let events = sink.events();
+        let dyn_report = DynReport::from_events(&events, &ConvergenceRule::DYN_REPORT);
         assert!(
             dyn_report.clean(),
             "{label}: dyn-report anomalies: {:?}",
@@ -210,6 +211,21 @@ fn drift_and_churn_reconverge_and_balance_exactly() {
         );
         assert_eq!(dyn_report.joins.len(), 1, "{label}");
         assert_eq!(dyn_report.retirements.len(), 1, "{label}");
+
+        // The causal provenance closes the same books exactly: drift and
+        // join terms included, the joiner starting from a base of 0.
+        let causal = CausalReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
+        assert!(
+            causal.clean(),
+            "{label}: causal-report anomalies: {:?}",
+            causal.anomalies
+        );
+        let joiner = causal.provenance.iter().find(|p| p.node == 8);
+        assert_eq!(
+            joiner.map(|p| p.initial),
+            Some(0),
+            "{label}: the joiner was minted nothing at start"
+        );
     }
 }
 
@@ -317,7 +333,7 @@ fn drift_partition_cartel_zero_false_convictions() {
             "{label}: six drifting sensors, one unit each"
         );
 
-        let dyn_report = DynReport::from_events(&sink.events(), &DynOptions::default());
+        let dyn_report = DynReport::from_events(&sink.events(), &ConvergenceRule::DYN_REPORT);
         assert!(
             dyn_report.clean(),
             "{label}: dyn-report anomalies: {:?}",

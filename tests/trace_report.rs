@@ -10,7 +10,7 @@ use distclass::core::CentroidInstance;
 use distclass::gossip::{GossipConfig, RoundSim};
 use distclass::linalg::Vector;
 use distclass::net::Topology;
-use distclass::obs::{prom, AnalyzeOptions, Json, RingSink, TraceReport, Tracer};
+use distclass::obs::{prom, ConvergenceRule, Json, RingSink, TraceReport, Tracer};
 use distclass::runtime::{run_chaos_channel_cluster, ClusterConfig, FaultPlan};
 
 fn two_site_values(n: usize) -> Vec<Vector> {
@@ -54,7 +54,7 @@ fn trace_report_agrees_with_audit_on_chaos_run() {
 
     let events = sink.events();
     assert!(events.len() < 200_000, "ring filled; replay would be lossy");
-    let report = TraceReport::from_events(&events, &AnalyzeOptions::default());
+    let report = TraceReport::from_events(&events, &ConvergenceRule::TRACE_REPORT);
 
     // The replayed verdict must match the live auditor's.
     assert_eq!(report.clean(), audit.ok(), "verdicts disagree\n{report}");
@@ -97,7 +97,7 @@ fn trace_report_builds_link_latencies_from_round_sim() {
     .with_tracer(Tracer::new(Arc::clone(&sink) as _));
     sim.run_rounds(6);
 
-    let report = TraceReport::from_events(&sink.events(), &AnalyzeOptions::default());
+    let report = TraceReport::from_events(&sink.events(), &ConvergenceRule::TRACE_REPORT);
     assert!(report.clean(), "round sim trace not clean:\n{report}");
     assert!(!report.links.is_empty(), "no link stats extracted");
     assert!(report.rounds.count >= 6);
