@@ -92,6 +92,14 @@ impl<S> Classification<S> {
         self.collections.extend(other.collections);
     }
 
+    /// Moves every collection into a new classification with room for
+    /// `extra` more, leaving `self` empty but keeping its capacity.
+    pub(crate) fn take_with_room(&mut self, extra: usize) -> Classification<S> {
+        let mut collections = Vec::with_capacity(self.collections.len() + extra);
+        collections.append(&mut self.collections);
+        Classification { collections }
+    }
+
     /// Consumes the classification, returning its collections.
     pub fn into_collections(self) -> Vec<Collection<S>> {
         self.collections
@@ -153,17 +161,20 @@ impl<S: Clone> Classification<S> {
     /// Collections whose weight is a single grain stay whole on the kept
     /// side, so the sent classification may have fewer collections (or be
     /// empty).
+    ///
+    /// Weights are halved in place; only the sent half clones summaries.
     pub fn split_off_half(&mut self) -> Classification<S> {
-        let mut kept = Vec::with_capacity(self.collections.len());
-        let mut sent = Vec::with_capacity(self.collections.len());
-        for c in self.collections.drain(..) {
-            let (k, s) = c.split();
-            kept.push(k);
-            if let Some(s) = s {
-                sent.push(s);
-            }
-        }
-        self.collections = kept;
+        let sendable = self
+            .collections
+            .iter()
+            .filter(|c| c.weight.grains() > 1)
+            .count();
+        let mut sent = Vec::with_capacity(sendable);
+        sent.extend(
+            self.collections
+                .iter_mut()
+                .filter_map(Collection::split_off_half),
+        );
         Classification { collections: sent }
     }
 }

@@ -42,34 +42,69 @@ impl<S> Collection<S> {
 }
 
 impl<S: Clone> Collection<S> {
-    /// Splits this collection into `(kept, sent)` with identical summaries
-    /// and complementary weights per the paper's `half` function; the
-    /// auxiliary vector (if any) is scaled by the same ratios.
+    /// Halves this collection in place per the paper's `half` function
+    /// and returns the sent half, which carries a clone of the summary;
+    /// the auxiliary vector (if any) is scaled by the same ratios.
     ///
-    /// The sent part is `None` when the collection's weight is a single
-    /// grain (nothing can be sent without violating quantization).
-    pub fn split(&self) -> (Collection<S>, Option<Collection<S>>) {
+    /// Returns `None`, and keeps the whole weight, when the collection's
+    /// weight is a single grain (nothing can be sent without violating
+    /// quantization).
+    pub fn split_off_half(&mut self) -> Option<Collection<S>> {
         let (keep_w, send_w) = self.weight.split();
         let ratio = if self.weight.is_zero() {
             0.5
         } else {
             keep_w.grains() as f64 / self.weight.grains() as f64
         };
-        let kept = Collection {
-            summary: self.summary.clone(),
-            weight: keep_w,
-            aux: self.aux.as_ref().map(|a| a.scaled(ratio)),
-        };
-        if send_w.is_zero() {
-            return (kept, None);
-        }
-        let sent = Collection {
+        let sent = (!send_w.is_zero()).then(|| Collection {
             summary: self.summary.clone(),
             weight: send_w,
             aux: self.aux.as_ref().map(|a| a.scaled(1.0 - ratio)),
-        };
-        (kept, Some(sent))
+        });
+        self.weight = keep_w;
+        if let Some(aux) = self.aux.as_mut() {
+            *aux = aux.scaled(ratio);
+        }
+        sent
     }
+}
+
+/// How many `merge_set` parts [`with_parts`] gathers without allocating.
+const PARTS_INLINE: usize = 16;
+
+/// Calls `f` with the `(summary, grains)` pairs of `collections[i]` for
+/// each `i` of `members`, in that order — the argument
+/// `Instance::merge_set` takes. Up to [`PARTS_INLINE`] pairs are gathered
+/// on the stack; longer member lists spill to a `Vec`.
+///
+/// # Panics
+///
+/// Panics if a member index is out of range.
+pub(crate) fn with_parts<S, R>(
+    collections: &[Collection<S>],
+    mut members: impl Iterator<Item = usize>,
+    f: impl FnOnce(&[(&S, f64)]) -> R,
+) -> R {
+    let part = |i: usize| {
+        let c = &collections[i];
+        (&c.summary, c.weight.grains() as f64)
+    };
+    let Some(first) = members.next() else {
+        return f(&[]);
+    };
+    let mut buf = [part(first); PARTS_INLINE];
+    let mut len = 1;
+    while let Some(i) = members.next() {
+        if len == PARTS_INLINE {
+            let mut parts = buf.to_vec();
+            parts.push(part(i));
+            parts.extend(members.map(part));
+            return f(&parts);
+        }
+        buf[len] = part(i);
+        len += 1;
+    }
+    f(&buf[..len])
 }
 
 impl<S: fmt::Display> fmt::Display for Collection<S> {
@@ -85,8 +120,8 @@ mod tests {
     #[test]
     fn split_conserves_weight_and_aux() {
         let c = Collection::with_aux("s", Weight::from_grains(5), MixtureVector::basis(2, 0));
-        let (kept, sent) = c.split();
-        let sent = sent.unwrap();
+        let mut kept = c.clone();
+        let sent = kept.split_off_half().unwrap();
         assert_eq!(kept.weight + sent.weight, c.weight);
         assert_eq!(kept.summary, "s");
         assert_eq!(sent.summary, "s");
@@ -96,16 +131,16 @@ mod tests {
 
     #[test]
     fn split_of_single_grain_sends_nothing() {
-        let c: Collection<&str> = Collection::new("s", Weight::from_grains(1));
-        let (kept, sent) = c.split();
+        let mut kept: Collection<&str> = Collection::new("s", Weight::from_grains(1));
+        let sent = kept.split_off_half();
         assert!(sent.is_none());
         assert_eq!(kept.weight.grains(), 1);
     }
 
     #[test]
     fn aux_ratio_matches_weight_ratio() {
-        let c = Collection::with_aux((), Weight::from_grains(3), MixtureVector::basis(1, 0));
-        let (kept, sent) = c.split();
+        let mut kept = Collection::with_aux((), Weight::from_grains(3), MixtureVector::basis(1, 0));
+        let sent = kept.split_off_half();
         // keep = 2 grains of 3 → aux scaled by 2/3.
         assert!((kept.aux.unwrap().component(0) - 2.0 / 3.0).abs() < 1e-12);
         assert!((sent.unwrap().aux.unwrap().component(0) - 1.0 / 3.0).abs() < 1e-12);

@@ -1,6 +1,7 @@
 use std::fmt;
 
 use crate::classification::Classification;
+use crate::collection::with_parts;
 use crate::mixture::MixtureVector;
 
 /// The application-specific functions that instantiate the generic
@@ -87,7 +88,243 @@ pub trait MixtureSummary: Instance {
 ///
 /// Shared by the centroid instance and used as the Gaussian instance's
 /// fallback when EM cannot run.
+///
+/// Each group's summary is computed once and, after a merge, recomputed
+/// only for the grown group, from its full member list in member order —
+/// the same `merge_set` call a from-scratch pass would make, so the result
+/// does not depend on the caching. Until the result is built, groups live
+/// as linked chains in a single allocation.
 pub fn greedy_partition<I: Instance>(
+    instance: &I,
+    big: &Classification<I::Summary>,
+) -> Vec<Vec<usize>> {
+    let mut groups = Chains::singletons(big.len());
+    let summarize = |groups: &Chains<I::Summary>, g: usize| {
+        with_parts(big.collections(), groups.members(g), |p| {
+            instance.merge_set(p)
+        })
+    };
+
+    // Restriction (2): merge quantum-weight singletons with their nearest
+    // other group first.
+    merge_quantum_singletons_in(instance, big, &mut groups);
+
+    // Greedy closest-pair merging down to k groups.
+    if groups.count() > instance.k() {
+        for g in 0..groups.count() {
+            let summary = summarize(&groups, g);
+            groups.set_summary(g, summary);
+        }
+        while groups.count() > instance.k() {
+            let (mut bx, mut by, mut best) = (0, 1, f64::INFINITY);
+            for x in 0..groups.count() {
+                for y in (x + 1)..groups.count() {
+                    let d = instance.summary_distance(groups.summary(x), groups.summary(y));
+                    if d < best {
+                        best = d;
+                        bx = x;
+                        by = y;
+                    }
+                }
+            }
+            // `bx < by`, so removing `by` leaves `bx` in place.
+            groups.join(bx, by);
+            let summary = summarize(&groups, bx);
+            groups.set_summary(bx, summary);
+        }
+    }
+    groups.into_vecs()
+}
+
+/// Enforces restriction (2) of §4.1 on a set of groups: every group that is
+/// a single collection of quantum weight is merged into the nearest other
+/// group (by `d_S` between that collection's summary and the other group's
+/// first member).
+///
+/// No-op when only one group exists.
+pub fn merge_quantum_singletons<I: Instance>(
+    instance: &I,
+    big: &Classification<I::Summary>,
+    groups: &mut Vec<Vec<usize>>,
+) {
+    merge_quantum_singletons_in(instance, big, groups);
+}
+
+fn merge_quantum_singletons_in<I: Instance>(
+    instance: &I,
+    big: &Classification<I::Summary>,
+    groups: &mut impl Groups,
+) {
+    loop {
+        if groups.count() <= 1 {
+            return;
+        }
+        let offender = (0..groups.count()).position(|g| {
+            groups.size(g) == 1 && big.collection(groups.first(g)).weight.is_quantum()
+        });
+        let Some(ox) = offender else { return };
+        let osum = &big.collection(groups.first(ox)).summary;
+        let (mut target, mut best) = (usize::MAX, f64::INFINITY);
+        for y in 0..groups.count() {
+            if y == ox {
+                continue;
+            }
+            let d = instance.summary_distance(osum, &big.collection(groups.first(y)).summary);
+            if d < best {
+                best = d;
+                target = y;
+            }
+        }
+        groups.join(target, ox);
+    }
+}
+
+/// The group operations the merging steps of a partition need.
+trait Groups {
+    /// The number of groups.
+    fn count(&self) -> usize;
+    /// The number of members of group `g`.
+    fn size(&self, g: usize) -> usize;
+    /// The first member of group `g`.
+    fn first(&self, g: usize) -> usize;
+    /// Appends the members of group `src` to group `dst`, then removes
+    /// `src` as `Vec::swap_remove` would (the last group takes its slot).
+    fn join(&mut self, dst: usize, src: usize);
+}
+
+impl Groups for Vec<Vec<usize>> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn size(&self, g: usize) -> usize {
+        self[g].len()
+    }
+
+    fn first(&self, g: usize) -> usize {
+        self[g][0]
+    }
+
+    fn join(&mut self, dst: usize, src: usize) {
+        let moved = self.swap_remove(src);
+        // swap_remove may have moved the target; recompute by identity.
+        let dst = if dst == self.len() { src } else { dst };
+        self[dst].extend(moved);
+    }
+}
+
+/// Groups of collection indices as linked chains, in one allocation:
+/// slot `i` holds member `i`'s successor, and slot `g < count` also holds
+/// group `g`. Joining two groups is O(1) and keeps member order.
+struct Chains<S> {
+    slots: Vec<Slot<S>>,
+    count: usize,
+}
+
+struct Slot<S> {
+    next: usize,
+    group: Group<S>,
+}
+
+struct Group<S> {
+    head: usize,
+    tail: usize,
+    size: usize,
+    summary: Option<S>,
+}
+
+impl<S> Chains<S> {
+    /// One singleton group per index `0..n`.
+    fn singletons(n: usize) -> Self {
+        Chains {
+            slots: (0..n)
+                .map(|i| Slot {
+                    next: usize::MAX,
+                    group: Group {
+                        head: i,
+                        tail: i,
+                        size: 1,
+                        summary: None,
+                    },
+                })
+                .collect(),
+            count: n,
+        }
+    }
+
+    /// The members of group `g`, in order.
+    fn members(&self, g: usize) -> impl Iterator<Item = usize> + '_ {
+        let group = &self.slots[g].group;
+        std::iter::successors(Some(group.head), |&i| Some(self.slots[i].next)).take(group.size)
+    }
+
+    /// Group `g`'s cached summary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if none is set.
+    fn summary(&self, g: usize) -> &S {
+        self.slots[g]
+            .group
+            .summary
+            .as_ref()
+            .expect("group summary is cached")
+    }
+
+    fn set_summary(&mut self, g: usize, summary: S) {
+        self.slots[g].group.summary = Some(summary);
+    }
+
+    /// The groups as index lists.
+    fn into_vecs(self) -> Vec<Vec<usize>> {
+        (0..self.count)
+            .map(|g| {
+                let mut members = Vec::with_capacity(self.size(g));
+                members.extend(self.members(g));
+                members
+            })
+            .collect()
+    }
+}
+
+impl<S> Groups for Chains<S> {
+    fn count(&self) -> usize {
+        self.count
+    }
+
+    fn size(&self, g: usize) -> usize {
+        self.slots[g].group.size
+    }
+
+    fn first(&self, g: usize) -> usize {
+        self.slots[g].group.head
+    }
+
+    fn join(&mut self, dst: usize, src: usize) {
+        // Swap-remove `src`: the last group moves into its slot, and `src`
+        // ends up past the live groups.
+        self.count -= 1;
+        let last = self.count;
+        if src != last {
+            let (live, rest) = self.slots.split_at_mut(last);
+            std::mem::swap(&mut live[src].group, &mut rest[0].group);
+        }
+        let (head, tail, size) = {
+            let removed = &self.slots[last].group;
+            (removed.head, removed.tail, removed.size)
+        };
+        let dst = if dst == last { src } else { dst };
+        let old_tail = std::mem::replace(&mut self.slots[dst].group.tail, tail);
+        self.slots[old_tail].next = head;
+        self.slots[dst].group.size += size;
+    }
+}
+
+/// The greedy partition as first written: every group's summary is
+/// recomputed from scratch on every merge step and groups are `Vec`s
+/// throughout. The reference [`greedy_partition`] must match exactly.
+#[cfg(test)]
+fn naive_greedy_partition<I: Instance>(
     instance: &I,
     big: &Classification<I::Summary>,
 ) -> Vec<Vec<usize>> {
@@ -104,11 +341,32 @@ pub fn greedy_partition<I: Instance>(
         instance.merge_set(&parts)
     };
 
-    // Restriction (2): merge quantum-weight singletons with their nearest
-    // other group first.
-    merge_quantum_singletons(instance, big, &mut groups);
+    // Restriction (2), as first written.
+    loop {
+        if groups.len() <= 1 {
+            break;
+        }
+        let offender = groups
+            .iter()
+            .position(|g| g.len() == 1 && big.collection(g[0]).weight.is_quantum());
+        let Some(ox) = offender else { break };
+        let osum = &big.collection(groups[ox][0]).summary;
+        let (mut target, mut best) = (usize::MAX, f64::INFINITY);
+        for (y, g) in groups.iter().enumerate() {
+            if y == ox {
+                continue;
+            }
+            let d = instance.summary_distance(osum, &big.collection(g[0]).summary);
+            if d < best {
+                best = d;
+                target = y;
+            }
+        }
+        let singleton = groups.swap_remove(ox);
+        let target = if target == groups.len() { ox } else { target };
+        groups[target].extend(singleton);
+    }
 
-    // Greedy closest-pair merging down to k groups.
     while groups.len() > instance.k() {
         let summaries: Vec<I::Summary> = groups.iter().map(|g| group_summary(g)).collect();
         let (mut bx, mut by, mut best) = (0, 1, f64::INFINITY);
@@ -126,44 +384,6 @@ pub fn greedy_partition<I: Instance>(
         groups[bx].extend(merged);
     }
     groups
-}
-
-/// Enforces restriction (2) of §4.1 on a set of groups: every group that is
-/// a single collection of quantum weight is merged into the nearest other
-/// group (by `d_S` between that collection's summary and the other group's
-/// first member).
-///
-/// No-op when only one group exists.
-pub fn merge_quantum_singletons<I: Instance>(
-    instance: &I,
-    big: &Classification<I::Summary>,
-    groups: &mut Vec<Vec<usize>>,
-) {
-    loop {
-        if groups.len() <= 1 {
-            return;
-        }
-        let offender = groups
-            .iter()
-            .position(|g| g.len() == 1 && big.collection(g[0]).weight.is_quantum());
-        let Some(ox) = offender else { return };
-        let osum = &big.collection(groups[ox][0]).summary;
-        let (mut target, mut best) = (usize::MAX, f64::INFINITY);
-        for (y, g) in groups.iter().enumerate() {
-            if y == ox {
-                continue;
-            }
-            let d = instance.summary_distance(osum, &big.collection(g[0]).summary);
-            if d < best {
-                best = d;
-                target = y;
-            }
-        }
-        let singleton = groups.swap_remove(ox);
-        // swap_remove may have moved the target; recompute by identity.
-        let target = if target == groups.len() { ox } else { target };
-        groups[target].extend(singleton);
-    }
 }
 
 #[cfg(test)]
@@ -261,5 +481,69 @@ mod tests {
         let inst = Toy { k: 1 };
         let m = inst.merge_set(&[(&0.0, 3.0), (&4.0, 1.0)]);
         assert!((m - 1.0).abs() < 1e-12);
+    }
+
+    /// Collections on a small integer grid (so equal summaries and tied
+    /// distances are common), a quarter of them of quantum weight.
+    fn grid_classification<S>(
+        cells: &[(u8, u8, u8)],
+        summary: impl Fn(f64, f64) -> S,
+    ) -> Classification<S> {
+        cells
+            .iter()
+            .map(|&(x, y, w)| {
+                let grains = if w == 0 { 1 } else { 10 * u64::from(w) };
+                Collection::new(
+                    summary(f64::from(x), f64::from(y)),
+                    Weight::from_grains(grains),
+                )
+            })
+            .collect()
+    }
+
+    mod equivalence {
+        use super::*;
+        use crate::{CentroidInstance, GaussianSummary, GmInstance, PartitionStrategy};
+        use distclass_linalg::{Matrix, Vector};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(400))]
+
+            #[test]
+            fn centroid_greedy_matches_naive(
+                k in 1usize..=5,
+                cells in collection::vec((0u8..4, 0u8..4, 0u8..4), 0..=14),
+            ) {
+                let inst = CentroidInstance::new(k).unwrap();
+                let big = grid_classification(&cells, |x, y| Vector::from([x, y]));
+                prop_assert_eq!(
+                    greedy_partition(&inst, &big),
+                    naive_greedy_partition(&inst, &big)
+                );
+            }
+
+            #[test]
+            fn gm_greedy_fallback_matches_naive(
+                k in 1usize..=5,
+                cells in collection::vec((0u8..4, 0u8..4, 0u8..4), 0..=14),
+            ) {
+                let inst = GmInstance::new(k)
+                    .unwrap()
+                    .with_partition_strategy(PartitionStrategy::Greedy);
+                let big = grid_classification(&cells, |x, y| {
+                    let spread = 0.5 + (x + y) / 8.0;
+                    GaussianSummary::new(
+                        Vector::from([x, y]),
+                        Matrix::from_rows(&[&[spread, 0.0], &[0.0, spread]]).unwrap(),
+                    )
+                });
+                let naive = naive_greedy_partition(&inst, &big);
+                prop_assert_eq!(greedy_partition(&inst, &big), naive.clone());
+                if big.len() > k {
+                    prop_assert_eq!(inst.partition(&big), naive);
+                }
+            }
+        }
     }
 }

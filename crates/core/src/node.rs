@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use crate::classification::Classification;
-use crate::collection::Collection;
+use crate::collection::{with_parts, Collection};
 use crate::instance::Instance;
 use crate::mixture::MixtureVector;
 use crate::weight::{Quantum, Weight};
@@ -117,8 +117,7 @@ impl<I: Instance> ClassifierNode<I> {
     /// local one, partitions the result with the instance's `partition`,
     /// and merges each group with `mergeSet`.
     pub fn receive(&mut self, incoming: Classification<I::Summary>) {
-        self.classification.absorb(incoming);
-        self.repartition();
+        self.receive_batch(std::iter::once(incoming));
     }
 
     /// Takes the node's entire classification, leaving it empty — a
@@ -146,8 +145,9 @@ impl<I: Instance> ClassifierNode<I> {
         let forgotten = self.classification.decay(decay_num, decay_den);
         let summary = self.instance.val_to_summary(val);
         let unit = quantum.unit();
-        self.classification.push(Collection::new(summary, unit));
-        self.repartition();
+        let mut big = self.classification.take_with_room(1);
+        big.push(Collection::new(summary, unit));
+        self.repartition(big);
         (unit.grains(), forgotten)
     }
 
@@ -159,55 +159,71 @@ impl<I: Instance> ClassifierNode<I> {
         &mut self,
         incoming: impl IntoIterator<Item = Classification<I::Summary>>,
     ) {
-        let mut any = false;
+        let mut incoming = incoming.into_iter();
+        let Some(first) = incoming.next() else {
+            return;
+        };
+        // The union: the node's collections, then each message's. Room is
+        // sized as if every message carried as many as the first.
+        let room = first.len() * (1 + incoming.size_hint().0);
+        let mut big = self.classification.take_with_room(room);
+        big.absorb(first);
         for c in incoming {
-            self.classification.absorb(c);
-            any = true;
+            big.absorb(c);
         }
-        if any {
-            self.repartition();
-        }
+        self.repartition(big);
     }
 
-    fn repartition(&mut self) {
-        let big = std::mem::take(&mut self.classification);
-        let groups = self.instance.partition(&big);
+    /// Partitions the union `big` and merges each group into the node's
+    /// (empty) classification, in group order.
+    fn repartition(&mut self, big: Classification<I::Summary>) {
+        let mut groups = self.instance.partition(&big);
         validate_groups::<I>(&self.instance, &big, &groups);
 
-        let collections = big.into_collections();
-        let mut taken: Vec<Option<Collection<I::Summary>>> =
-            collections.into_iter().map(Some).collect();
-        let mut merged = Classification::new();
+        // Each group's result lands on the slot of its first member. A
+        // group reads only its own members and the slots are distinct, so
+        // no group reads a slot another group has overwritten.
+        let mut collections = big.into_collections();
         for group in &groups {
-            let members: Vec<Collection<I::Summary>> = group
-                .iter()
-                .map(|&i| taken[i].take().expect("group indices are unique"))
-                .collect();
-            if members.len() == 1 {
-                let mut it = members;
-                merged.push(it.pop().expect("one member"));
-                continue;
-            }
-            let weight: Weight = members.iter().map(|c| c.weight).sum();
-            let parts: Vec<(&I::Summary, f64)> = members
-                .iter()
-                .map(|c| (&c.summary, c.weight.grains() as f64))
-                .collect();
-            let summary = self.instance.merge_set(&parts);
-            let aux = merge_aux(&members);
-            match aux {
-                Some(aux) => merged.push(Collection::with_aux(summary, weight, aux)),
-                None => merged.push(Collection::new(summary, weight)),
+            if let [home, _, ..] = group[..] {
+                collections[home] = merge_group(self.instance.as_ref(), &collections, group);
             }
         }
-        self.classification = merged;
+        // Move the results out in group order. `swap_remove` refills the
+        // slot with the last one, so a later group homed there follows it.
+        for j in 0..groups.len() {
+            let home = groups[j][0];
+            let last = collections.len() - 1;
+            self.classification.push(collections.swap_remove(home));
+            if let Some(later) = groups[j + 1..].iter_mut().find(|g| g[0] == last) {
+                later[0] = home;
+            }
+        }
     }
 }
 
-fn merge_aux<S>(members: &[Collection<S>]) -> Option<MixtureVector> {
-    let mut iter = members.iter();
-    let mut acc = iter.next()?.aux.clone()?;
-    for m in iter {
+/// The collection a group of `collections` merges into: `mergeSet` of the
+/// members' summaries, their summed weight and auxiliary vectors.
+fn merge_group<I: Instance>(
+    instance: &I,
+    collections: &[Collection<I::Summary>],
+    group: &[usize],
+) -> Collection<I::Summary> {
+    let summary = with_parts(collections, group.iter().copied(), |parts| {
+        instance.merge_set(parts)
+    });
+    let weight: Weight = group.iter().map(|&i| collections[i].weight).sum();
+    match merge_aux(group.iter().map(|&i| &collections[i])) {
+        Some(aux) => Collection::with_aux(summary, weight, aux),
+        None => Collection::new(summary, weight),
+    }
+}
+
+fn merge_aux<'a, S: 'a>(
+    mut members: impl Iterator<Item = &'a Collection<S>>,
+) -> Option<MixtureVector> {
+    let mut acc = members.next()?.aux.clone()?;
+    for m in members {
         acc.add_assign(m.aux.as_ref()?);
     }
     Some(acc)
@@ -224,17 +240,33 @@ fn validate_groups<I: Instance>(
         groups.len(),
         instance.k()
     );
-    let mut seen = vec![false; big.len()];
+    // Indices seen so far: a bitmask up to 64 collections, flags above.
+    let mut bits = 0u64;
+    let mut flags = if big.len() > 64 {
+        vec![false; big.len()]
+    } else {
+        Vec::new()
+    };
+    let mut covered = 0;
     for g in groups {
         assert!(!g.is_empty(), "partition produced an empty group");
         for &i in g {
             assert!(i < big.len(), "partition index {i} out of range");
-            assert!(!seen[i], "partition assigned index {i} twice");
-            seen[i] = true;
+            let repeat = if flags.is_empty() {
+                let bit = 1u64 << i;
+                let seen = bits & bit != 0;
+                bits |= bit;
+                seen
+            } else {
+                std::mem::replace(&mut flags[i], true)
+            };
+            assert!(!repeat, "partition assigned index {i} twice");
+            covered += 1;
         }
     }
+    // Every index is in range and seen once, so a full count is a cover.
     assert!(
-        seen.iter().all(|&s| s),
+        covered == big.len(),
         "partition did not cover all collections"
     );
     if groups.len() > 1 {

@@ -357,8 +357,9 @@ impl<I: Instance> RoundSim<I> {
 
     /// The current convergence telemetry sample: classification sizes,
     /// weight spread, and (with a probe installed) error statistics over
-    /// live nodes. Dispersion is `None` — it is quadratic in the network
-    /// size, so callers opt in via [`RoundSim::dispersion`].
+    /// live nodes. Dispersion is `None` — it costs a classification
+    /// distance per live node, so callers opt in via
+    /// [`RoundSim::dispersion`].
     pub fn telemetry_sample(&self) -> TelemetrySample {
         sample_classifications(
             self.engine.round(),
@@ -378,8 +379,9 @@ impl<I: Instance> RoundSim<I> {
         for _ in 0..max_rounds {
             self.run_round();
             executed += 1;
-            detector.observe(self.dispersion());
-            if detector.is_stable() && self.dispersion() <= tol {
+            let dispersion = self.dispersion();
+            detector.observe(dispersion);
+            if detector.is_stable() && dispersion <= tol {
                 break;
             }
         }
@@ -420,8 +422,9 @@ impl<I: Instance> RoundSim<I> {
             .collect()
     }
 
-    /// Maximum classification distance between live nodes (agreement
-    /// metric; 0 = full agreement).
+    /// Maximum classification distance from the first live node to any
+    /// other live node (agreement metric; 0 = full agreement), linear in
+    /// the number of live nodes.
     pub fn dispersion(&self) -> f64 {
         convergence::dispersion(self.instance.as_ref(), self.live_classifications())
     }

@@ -1,13 +1,115 @@
 use std::fmt;
-use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Deref, DerefMut, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
 use crate::LinalgError;
+
+/// Dimensions up to this size are stored inline, without a heap
+/// allocation. Every workload in the paper has `d ≤ 4`.
+const INLINE_CAP: usize = 4;
+
+/// The components of a [`Vector`]: inline for `d ≤ INLINE_CAP`, on the
+/// heap above. A vector of dimension `≤ INLINE_CAP` is always `Inline`.
+#[derive(Clone)]
+enum Storage {
+    Inline { len: u8, buf: [f64; INLINE_CAP] },
+    Heap(Vec<f64>),
+}
+
+impl Storage {
+    fn from_slice(data: &[f64]) -> Self {
+        if data.len() <= INLINE_CAP {
+            let mut buf = [0.0; INLINE_CAP];
+            buf[..data.len()].copy_from_slice(data);
+            Storage::Inline {
+                len: data.len() as u8,
+                buf,
+            }
+        } else {
+            Storage::Heap(data.to_vec())
+        }
+    }
+
+    fn from_vec(data: Vec<f64>) -> Self {
+        if data.len() <= INLINE_CAP {
+            Storage::from_slice(&data)
+        } else {
+            Storage::Heap(data)
+        }
+    }
+
+    fn filled(dim: usize, value: f64) -> Self {
+        if dim <= INLINE_CAP {
+            let mut buf = [0.0; INLINE_CAP];
+            buf[..dim].fill(value);
+            Storage::Inline {
+                len: dim as u8,
+                buf,
+            }
+        } else {
+            Storage::Heap(vec![value; dim])
+        }
+    }
+}
+
+impl Default for Storage {
+    fn default() -> Self {
+        Storage::Inline {
+            len: 0,
+            buf: [0.0; INLINE_CAP],
+        }
+    }
+}
+
+impl FromIterator<f64> for Storage {
+    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
+        let mut iter = iter.into_iter();
+        let mut buf = [0.0; INLINE_CAP];
+        let mut len = 0;
+        while let Some(x) = iter.next() {
+            if len == INLINE_CAP {
+                let mut data = Vec::with_capacity(INLINE_CAP + 1 + iter.size_hint().0);
+                data.extend_from_slice(&buf);
+                data.push(x);
+                data.extend(iter);
+                return Storage::Heap(data);
+            }
+            buf[len] = x;
+            len += 1;
+        }
+        Storage::Inline {
+            len: len as u8,
+            buf,
+        }
+    }
+}
+
+impl Deref for Storage {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        match self {
+            Storage::Inline { len, buf } => &buf[..usize::from(*len)],
+            Storage::Heap(data) => data,
+        }
+    }
+}
+
+impl DerefMut for Storage {
+    fn deref_mut(&mut self) -> &mut [f64] {
+        match self {
+            Storage::Inline { len, buf } => &mut buf[..usize::from(*len)],
+            Storage::Heap(data) => data,
+        }
+    }
+}
 
 /// A dense `d`-dimensional real vector.
 ///
 /// `Vector` is the value type used for sensor readings, centroids and
 /// Gaussian means throughout the workspace. Arithmetic is implemented for
 /// borrowed operands so vectors are not consumed by expressions.
+/// Vectors of dimension at most 4 keep their components inline, so
+/// creating, cloning and dropping them never touches the heap.
 ///
 /// # Panics
 ///
@@ -25,23 +127,21 @@ use crate::LinalgError;
 /// assert_eq!((&a + &b).as_slice(), &[4.0, 6.0]);
 /// assert_eq!(a.dot(&b), 11.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Clone, Default)]
 pub struct Vector {
-    data: Vec<f64>,
+    data: Storage,
 }
 
 impl Vector {
     /// Creates a zero vector of dimension `dim`.
     pub fn zeros(dim: usize) -> Self {
-        Vector {
-            data: vec![0.0; dim],
-        }
+        Vector::filled(dim, 0.0)
     }
 
     /// Creates a vector filled with `value`.
     pub fn filled(dim: usize, value: f64) -> Self {
         Vector {
-            data: vec![value; dim],
+            data: Storage::filled(dim, value),
         }
     }
 
@@ -77,9 +177,12 @@ impl Vector {
         &mut self.data
     }
 
-    /// Consumes the vector, returning the underlying storage.
+    /// Consumes the vector, returning its components as a `Vec`.
     pub fn into_inner(self) -> Vec<f64> {
-        self.data
+        match self.data {
+            Storage::Inline { .. } => self.data.to_vec(),
+            Storage::Heap(data) => data,
+        }
     }
 
     /// Iterates over components.
@@ -140,7 +243,7 @@ impl Vector {
 
     /// Scales the vector in place.
     pub fn scale(&mut self, s: f64) {
-        for x in &mut self.data {
+        for x in self.data.iter_mut() {
             *x *= s;
         }
     }
@@ -206,14 +309,16 @@ impl Vector {
 
 impl From<Vec<f64>> for Vector {
     fn from(data: Vec<f64>) -> Self {
-        Vector { data }
+        Vector {
+            data: Storage::from_vec(data),
+        }
     }
 }
 
 impl From<&[f64]> for Vector {
     fn from(data: &[f64]) -> Self {
         Vector {
-            data: data.to_vec(),
+            data: Storage::from_slice(data),
         }
     }
 }
@@ -221,7 +326,7 @@ impl From<&[f64]> for Vector {
 impl<const N: usize> From<[f64; N]> for Vector {
     fn from(data: [f64; N]) -> Self {
         Vector {
-            data: data.to_vec(),
+            data: Storage::from_slice(&data),
         }
     }
 }
@@ -311,6 +416,21 @@ impl AddAssign<&Vector> for Vector {
 impl SubAssign<&Vector> for Vector {
     fn sub_assign(&mut self, rhs: &Vector) {
         self.axpy(-1.0, rhs);
+    }
+}
+
+impl PartialEq for Vector {
+    fn eq(&self, other: &Vector) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+/// Prints as `Vector { data: [..] }`, the same text whatever the storage.
+impl fmt::Debug for Vector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Vector")
+            .field("data", &self.as_slice())
+            .finish()
     }
 }
 
@@ -428,5 +548,99 @@ mod tests {
         assert!(v.is_finite());
         v[0] = f64::NAN;
         assert!(!v.is_finite());
+    }
+
+    /// Components `1.5, -2.5, 3.5, …` of a `d`-vector, distinct per slot.
+    fn components(d: usize) -> Vec<f64> {
+        (0..d)
+            .map(|i| (i as f64 + 1.5) * if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect()
+    }
+
+    /// Every constructor, across the inline/heap boundary.
+    #[test]
+    fn constructors_agree_on_both_sides_of_the_inline_boundary() {
+        let arrays: [Vector; 7] = [
+            Vector::from([0.0; 0]),
+            Vector::from([1.5]),
+            Vector::from([1.5, -2.5]),
+            Vector::from([1.5, -2.5, 3.5]),
+            Vector::from([1.5, -2.5, 3.5, -4.5]),
+            Vector::from([1.5, -2.5, 3.5, -4.5, 5.5]),
+            Vector::from([1.5, -2.5, 3.5, -4.5, 5.5, -6.5]),
+        ];
+        for (d, from_array) in arrays.iter().enumerate() {
+            let c = components(d);
+            let from_vec = Vector::from(c.clone());
+            let from_slice = Vector::from(c.as_slice());
+            let collected: Vector = c.iter().copied().collect();
+            for v in [&from_vec, &from_slice, &collected, from_array] {
+                assert_eq!(v.dim(), d);
+                assert_eq!(v.as_slice(), c.as_slice(), "d = {d}");
+                assert_eq!(v.is_empty(), d == 0);
+                assert_eq!(v, &from_vec);
+                assert_eq!(v.clone(), from_vec);
+                assert_eq!(v.iter().copied().collect::<Vec<_>>(), c);
+            }
+
+            assert_eq!(Vector::zeros(d).as_slice(), vec![0.0; d].as_slice());
+            assert_eq!(Vector::zeros(d), Vector::from(vec![0.0; d]));
+            assert_eq!(Vector::filled(d, 2.5).as_slice(), vec![2.5; d].as_slice());
+            for i in 0..d {
+                let mut e = vec![0.0; d];
+                e[i] = 1.0;
+                assert_eq!(Vector::basis(d, i), Vector::from(e));
+            }
+
+            let other = Vector::from(components(d).iter().map(|x| x * 0.25).collect::<Vec<_>>());
+            let sum: Vec<f64> = c.iter().zip(other.iter()).map(|(a, b)| a + b).collect();
+            let diff: Vec<f64> = c.iter().zip(other.iter()).map(|(a, b)| a - b).collect();
+            let scaled: Vec<f64> = c.iter().map(|x| x * -3.0).collect();
+            assert_eq!((&from_vec + &other).as_slice(), sum.as_slice());
+            assert_eq!((&from_vec - &other).as_slice(), diff.as_slice());
+            assert_eq!(from_vec.scaled(-3.0).as_slice(), scaled.as_slice());
+            assert_eq!((&from_vec * -3.0).as_slice(), scaled.as_slice());
+            let mut acc = from_vec.clone();
+            acc += &other;
+            assert_eq!(acc.as_slice(), sum.as_slice());
+            acc.as_mut_slice().fill(7.0);
+            assert_eq!(acc, Vector::filled(d, 7.0));
+        }
+        assert_ne!(Vector::zeros(4), Vector::zeros(5));
+        assert_eq!(Vector::default(), Vector::zeros(0));
+    }
+
+    #[test]
+    fn into_inner_round_trips_every_dimension() {
+        for d in 0..=6 {
+            let c = components(d);
+            assert_eq!(Vector::from(c.clone()).into_inner(), c);
+            assert_eq!(Vector::from(c.as_slice()).into_inner(), c);
+            assert_eq!(Vector::zeros(d).into_inner(), vec![0.0; d]);
+        }
+    }
+
+    /// `Debug` keeps the text of the former `#[derive(Debug)]` over a
+    /// `data: Vec<f64>` field; `Display` is unchanged too.
+    #[test]
+    fn debug_and_display_text_is_storage_independent() {
+        for d in 0..=6 {
+            let c = components(d);
+            let v = Vector::from(c.clone());
+            assert_eq!(format!("{v:?}"), format!("Vector {{ data: {c:?} }}"));
+            assert_eq!(
+                format!("{v:#?}"),
+                format!(
+                    "Vector {{\n    data: {},\n}}",
+                    format!("{c:#?}").replace('\n', "\n    ")
+                )
+            );
+            let shown: Vec<String> = c.iter().map(|x| format!("{x:.6}")).collect();
+            assert_eq!(format!("{v}"), format!("[{}]", shown.join(", ")));
+        }
+        assert_eq!(
+            format!("{:?}", Vector::from([1.0, -2.5])),
+            "Vector { data: [1.0, -2.5] }"
+        );
     }
 }

@@ -43,6 +43,10 @@ pub struct RoundEngine<P: Protocol> {
     // number (the span id is `(from, seq)`) and the sender's Lamport
     // stamp at send time.
     carried: Vec<(NodeId, NodeId, u64, u64, P::Message)>,
+    // A round's deliveries and one callback's sends: kept between rounds
+    // (empty) so their buffers are reused.
+    pending: Vec<(NodeId, NodeId, u64, u64, P::Message)>,
+    outbox: Vec<(NodeId, P::Message)>,
     round: u64,
     /// Per-node Lamport clocks: bumped on every send, folded with
     /// `max(local, sender) + 1` on every delivery.
@@ -100,6 +104,8 @@ impl<P: Protocol> RoundEngine<P> {
             crash: CrashModel::None,
             failure_detector: true,
             carried: Vec::new(),
+            pending: Vec::new(),
+            outbox: Vec::new(),
             round: 0,
             lamport: vec![0; n],
             send_seq: vec![0; n],
@@ -310,10 +316,10 @@ impl<P: Protocol> RoundEngine<P> {
         let round_span = prof.span_timed(Phase::Tick, self.instruments.is_some());
         self.apply_restarts();
         let n = self.nodes.len();
-        // Phase 1: ticks.
-        let mut pending: Vec<(NodeId, NodeId, u64, u64, P::Message)> =
-            std::mem::take(&mut self.carried);
-        let mut outbox = Vec::new();
+        // Phase 1: ticks, after the carried messages.
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.append(&mut self.carried);
+        let mut outbox = std::mem::take(&mut self.outbox);
         for i in 0..n {
             if !self.alive[i] {
                 continue;
@@ -338,7 +344,7 @@ impl<P: Protocol> RoundEngine<P> {
         }
 
         // Phase 2: deliveries. Sends from handlers go to the next round.
-        for (from, to, seq, send_lamport, msg) in pending {
+        for (from, to, seq, send_lamport, msg) in pending.drain(..) {
             if !self.alive[to] || self.partitioned(from, to) {
                 let reason = if self.alive[to] {
                     DropReason::Partitioned
@@ -418,6 +424,8 @@ impl<P: Protocol> RoundEngine<P> {
             }
         }
 
+        self.pending = pending;
+        self.outbox = outbox;
         let merge_ns = merge_span.stop();
         if let (Some(ins), Some(ns)) = (&self.instruments, merge_ns) {
             ins.merge_phase_ns.observe(ns);

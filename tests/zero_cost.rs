@@ -153,3 +153,34 @@ fn fixed_seed_run_is_identical_with_profiler_on_and_off() {
     assert_eq!(off.2, on.2);
     assert_eq!(off.3, on.3, "per-node classifications must match");
 }
+
+/// The centroid round's steady state is nearly allocation-free: inline
+/// small-d summaries, cached greedy-partition summaries and reused round
+/// buffers leave about one allocation for the sent half and a handful
+/// per `partition` result. Before that work a round made ≈66
+/// allocations per message.
+#[test]
+fn centroid_steady_state_allocates_at_most_six_per_message() {
+    let inst = Arc::new(CentroidInstance::new(3).expect("k >= 1"));
+    let cfg = GossipConfig {
+        seed: 5,
+        ..GossipConfig::default()
+    };
+    let values: Vec<Vector> = (0..1024)
+        .map(|i| {
+            let c = (i % 3) as f64 * 4.0;
+            Vector::from([c + (i % 7) as f64 * 0.1, c - (i % 5) as f64 * 0.1])
+        })
+        .collect();
+    let mut sim = RoundSim::new(Topology::complete(1024), inst, &values, &cfg);
+    sim.run_rounds(10);
+    let before = sim.metrics().messages_sent;
+    let allocs = allocations(|| sim.run_rounds(20));
+    let msgs = sim.metrics().messages_sent - before;
+    assert!(msgs > 0, "no messages in 20 rounds");
+    let per_msg = allocs as f64 / msgs as f64;
+    assert!(
+        per_msg <= 6.0,
+        "{per_msg:.2} allocations per message ({allocs} over {msgs} messages)"
+    );
+}
