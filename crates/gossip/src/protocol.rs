@@ -157,9 +157,7 @@ impl<I: Instance> Protocol for ClassifierProtocol<I> {
     }
 
     fn on_round_end(&mut self, _ctx: &mut Context<'_, Self::Message>) {
-        if !self.inbox.is_empty() {
-            self.node.receive_batch(self.inbox.drain(..));
-        }
+        self.node.receive_batch(self.inbox.drain(..));
     }
 }
 
